@@ -12,8 +12,9 @@ Two structures live here and must not be confused:
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 GF_POLY = 0x11B
 
@@ -29,7 +30,7 @@ class ZeroInverseError(ValueError):
 
 
 class UnderdeterminedError(ValueError):
-    """No equation pair pins down the unknowns (all pair determinants even)."""
+    """The equations admit two or more solutions."""
 
 
 class InconsistentError(ValueError):
@@ -98,34 +99,80 @@ def mat4_mul_mod256(x: Mat4, y: Mat4) -> Mat4:
     )
 
 
+# 2-adic valuation of every byte; 0 counts as 8 (a multiple of 2^8 = 256).
+_VAL = np.array([8] + [(i & -i).bit_length() - 1 for i in range(1, 256)])
+
+
+def _eliminate(col: np.ndarray, rest: list[np.ndarray]):
+    """Clear `col` from every row with the row of least 2-adic valuation v.
+
+    Returns v, the pivot row's `rest` entries scaled so its `col` entry is
+    exactly 2^v, and the `rest` columns of the cleared rows plus the Howell
+    row 2^(8-v) * pivot.  That row is zero in `col` and holds exactly when
+    the pivot equation 2^v * x = rhs is solvable for x.  v == 8 means the
+    column is already zero: there is no pivot and the pivot row is zero.
+    """
+    vals = _VAL[col]
+    v = int(vals.min(initial=8))
+    if v == 8:
+        return 8, [0] * len(rest), rest
+    p = int(vals.argmin())
+    unit_inv = mod256_inv(int(col[p]) >> v)
+    pivot = [unit_inv * int(r[p]) % 256 for r in rest]
+    f = col >> v
+    cleared = [
+        np.append((r - f * q) % 256, (q << (8 - v)) % 256) for r, q in zip(rest, pivot)
+    ]
+    return v, pivot, cleared
+
+
+def _coset(v: int, rhs) -> np.ndarray:
+    """Every x with 2^v * x = rhs (mod 256), given that 2^v divides rhs.
+
+    `rhs` may be an array; the result then has one row per entry.
+    """
+    return (np.asarray(rhs)[..., None] >> v) + (np.arange(1 << v) << (8 - v))
+
+
+def solve_rows_mod256(a, b, t) -> np.ndarray:
+    """Every (x, y) with a[i]*x + b[i]*y = t[i] (mod 256) for all rows i.
+
+    One elimination pass per unknown (Howell, "Spans in the module
+    (Z_m)^s", 1986): pivot on the row of least 2-adic valuation, clear the
+    column, and carry the Howell row into the next column.  What is left
+    is 2^vx * x + bx * y = tx and 2^vy * y = ty plus rows that must read
+    0 = 0, so the solutions form a coset of 2^(vx + vy) <= 2^16 pairs.
+
+    Returns an (m, 2) int64 array in ascending (x, y) order, m = 0 when the
+    rows are inconsistent.
+    """
+    a, b, t = (np.asarray(r, dtype=np.int64) % 256 for r in (a, b, t))
+    vx, (bx, tx), (b, t) = _eliminate(a, [b, t])
+    vy, (ty,), (t,) = _eliminate(b, [t])
+    if t.any():
+        return np.empty((0, 2), dtype=np.int64)
+    ys = _coset(vy, ty)
+    xs = _coset(vx, (tx - bx * ys) % 256)
+    codes = np.sort((xs * 256 + ys[:, None]).ravel())
+    return np.stack([codes >> 8, codes & 0xFF], axis=1)
+
+
 def solve_k_rows_mod256(
     equations: Sequence[tuple[int, int, int]],
 ) -> tuple[int, int]:
     """Solve k*a + l*b = rhs  (mod 256) for the unknown pair (k, l).
 
-    Each equation is an (a, b, rhs) triple.  The system is solved by
-    locating an equation pair whose determinant a1*b2 - a2*b1 is odd
-    (hence a unit mod 256) and applying the adjugate formula; the
-    remaining equations are then checked against the candidate.
-
-    Raises UnderdeterminedError when no pair has an odd determinant and
-    InconsistentError when the equations conflict.
+    Each equation is an (a, b, rhs) triple; solve_rows_mod256 finds every
+    solution.  Raises UnderdeterminedError when two or more pairs fit and
+    InconsistentError when none does.
     """
     if len(equations) < 2:
         raise ValueError("need at least two equations")
-    for i, j in combinations(range(len(equations)), 2):
-        a1, b1, r1 = equations[i]
-        a2, b2, r2 = equations[j]
-        det = (a1 * b2 - a2 * b1) % 256
-        if det % 2 == 0:
-            continue
-        inv_det = mod256_inv(det)
-        k = (inv_det * (b2 * r1 - b1 * r2)) % 256
-        l = (inv_det * (a1 * r2 - a2 * r1)) % 256
-        for a, b, rhs in equations:
-            if (a * k + b * l) % 256 != rhs % 256:
-                raise InconsistentError(
-                    "equations admit no common solution mod 256"
-                )
-        return k, l
-    raise UnderdeterminedError("no equation pair has an odd determinant")
+    solutions = solve_rows_mod256(*zip(*equations))
+    if len(solutions) == 0:
+        raise InconsistentError("equations admit no common solution mod 256")
+    if len(solutions) > 1:
+        raise UnderdeterminedError(
+            f"{len(solutions)} solutions fit the equations mod 256"
+        )
+    return int(solutions[0, 0]), int(solutions[0, 1])

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import attacks, dwc, ecchc, ecgroup, imagekit, metrics
+from . import algebra, attacks, dwc, ecchc, ecgroup, imagekit, metrics
 
 FIXTURES_ENV = "CIPHER_AUTOPSY_FIXTURES"
 
@@ -106,10 +106,7 @@ def cmd_keygen(args) -> int:
     if k_ab != k_ba or k_a != k_b:
         raise CliError("two-party agreement mismatch", EXIT_CURVE)
     key = ecchc.expand_key(k_a)
-    km_sq = np.array(key.km, dtype=np.int64)
-    self_inverse = bool(
-        np.array_equal((km_sq @ km_sq) % 256, np.eye(4, dtype=np.int64))
-    )
+    self_inverse = algebra.mat4_mul_mod256(key.km, key.km) == algebra.MAT4_IDENTITY
     _emit(
         {
             "curve": {
@@ -134,18 +131,13 @@ def cmd_keygen(args) -> int:
 
 def _cipher_apply(args, forward: bool) -> int:
     img = _load_image(getattr(args, "in"))
-    try:
-        if args.alg == "ecchc":
-            key = _parse_hill_key(args.key)
-            fn = ecchc.ecchc_encrypt if forward else ecchc.ecchc_decrypt
-            out = fn(img, key)
-        else:
-            key = _parse_dwc_key(args.key)
-            fn = dwc.dwc_encrypt if forward else dwc.dwc_decrypt
-            out = fn(img, key)
-    except imagekit.BadDimensionsError as exc:
-        raise CliError(str(exc), EXIT_FILE)
-    _save_image(out, args.out)
+    if args.alg == "ecchc":
+        key = _parse_hill_key(args.key)
+        fn = ecchc.ecchc_encrypt if forward else ecchc.ecchc_decrypt
+    else:
+        key = _parse_dwc_key(args.key)
+        fn = dwc.dwc_encrypt if forward else dwc.dwc_decrypt
+    _save_image(fn(img, key), args.out)
     return 0
 
 
@@ -160,10 +152,7 @@ def cmd_decrypt(args) -> int:
 def cmd_metrics(args) -> int:
     plain = _load_image(getattr(args, "in"))
     enc = _load_image(args.enc)
-    try:
-        report = metrics.evaluate_pair(plain, enc)
-    except metrics.DimensionMismatchError as exc:
-        raise CliError(str(exc), EXIT_FILE)
+    report = metrics.evaluate_pair(plain, enc)
     row = {"algorithm": args.alg or "-", "image": args.image or "-"}
     row.update(report.to_json_dict())
     if args.format == "csv":
@@ -317,14 +306,9 @@ def cmd_attack(args) -> int:
             mask = attacks.KeyMask.parse(args.mask)
         except ValueError as exc:
             raise CliError(f"bad mask: {exc}", EXIT_KEY)
-        try:
-            outcome = attacks.brute_force_hill(
-                plain, cipher, mask, allow_full_search=args.full
-            )
-        except attacks.KeyNotFoundError as exc:
-            raise CliError(str(exc), EXIT_ATTACK)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_ATTACK)
+        outcome = attacks.brute_force_hill(
+            plain, cipher, mask, allow_full_search=args.full
+        )
         _emit(outcome.to_json_dict(), args)
         return 0
 
@@ -456,16 +440,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Library errors that commands let through, and the exit code of each.
+LIBRARY_ERRORS = {
+    imagekit.BadDimensionsError: EXIT_FILE,
+    metrics.DimensionMismatchError: EXIT_FILE,
+    attacks.KeyNotFoundError: EXIT_ATTACK,
+    attacks.SearchRefusedError: EXIT_ATTACK,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except tuple(LIBRARY_ERRORS) as exc:
+        error = CliError(str(exc), LIBRARY_ERRORS[type(exc)])
     except CliError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc), "code": exc.code}),
-            file=sys.stderr,
-        )
-        return exc.code
+        error = exc
+    print(
+        json.dumps({"error": "CliError", "message": str(error), "code": error.code}),
+        file=sys.stderr,
+    )
+    return error.code
 
 
 def run() -> None:

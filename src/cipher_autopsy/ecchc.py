@@ -2,10 +2,15 @@
 block matrix that encrypts and decrypts images in ECB fashion.
 
 Self-invertibility makes encryption and decryption the same multiply, but
-it also forces structure: every block of the form (p, p, p, p) is a fixed
-point for every key, and for every plaintext/ciphertext block pair
-c2 - c0 = p0 - p2 and c3 - c1 = p1 - p3 (mod 256) regardless of the key.
-The attack module leans on both facts.
+it also forces structure.  Split a block into halves p_top = (p0, p1) and
+p_bot = (p2, p3) and let d = p_top - p_bot; the block matrix then reads
+
+    c_top = p_bot + K d,    c_bot = p_top + K d    (mod 256).
+
+So c_bot - c_top = d under every key, every block (p, p, p, p) is a fixed
+point of every key, and each row of K meets the data in one linear
+equation per block.  hill_apply computes the layer in this form; the
+attack module leans on all three facts.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, Mat2, Mat4, mat4_vec_mod256
+from .algebra import Block, Mat2, Mat4
 from .imagekit import BadDimensionsError, GrayImage, blocks_of, unblocks
 
 
@@ -57,9 +62,20 @@ def expand_key(k: Mat2) -> HillKey:
     return HillKey(k=key, km=km)
 
 
+def hill_apply(blocks: np.ndarray, k: Mat2) -> np.ndarray:
+    """The Hill layer on an (n, 4) uint8 block array, in difference form:
+    4 byte multiplies per block, wrapping mod 256 in uint8."""
+    (k11, k12), (k21, k22) = k
+    p0, p1, p2, p3 = blocks.T
+    d0, d1 = p0 - p2, p1 - p3
+    kd0 = k11 * d0 + k12 * d1
+    kd1 = k21 * d0 + k22 * d1
+    return np.stack([p2 + kd0, p3 + kd1, p0 + kd0, p1 + kd1], axis=1)
+
+
 def encrypt_block(key: HillKey, block: Block) -> Block:
     """Single-block transform; scalar path used by the attack tooling."""
-    return mat4_vec_mod256(key.km, block)
+    return tuple(hill_apply(np.array([block], dtype=np.uint8), key.k)[0].tolist())
 
 
 def _require_even_dims(img: GrayImage) -> None:
@@ -72,10 +88,7 @@ def _require_even_dims(img: GrayImage) -> None:
 def ecchc_encrypt(img: GrayImage, key: HillKey) -> GrayImage:
     """ECB encryption: every canonical block is multiplied by km mod 256."""
     _require_even_dims(img)
-    blocks = blocks_of(img).astype(np.int64)
-    km = np.array(key.km, dtype=np.int64)
-    out = (blocks @ km.T) % 256
-    return unblocks(out.astype(np.uint8), img.width, img.height)
+    return unblocks(hill_apply(blocks_of(img), key.k), img.width, img.height)
 
 
 def ecchc_decrypt(img: GrayImage, key: HillKey) -> GrayImage:

@@ -114,20 +114,7 @@ def point_add(p1: EcPoint, p2: EcPoint, curve: CurveParams) -> EcPoint:
     for p in (p1, p2):
         if not curve.contains(p):
             raise PointNotOnCurveError(f"{p} not on curve")
-    if p1.is_infinity:
-        return p2
-    if p2.is_infinity:
-        return p1
-    q = curve.q
-    if p1.x == p2.x and (p1.y + p2.y) % q == 0:
-        return INFINITY
-    if p1 == p2:
-        lam = (3 * p1.x * p1.x + curve.a) * pow(2 * p1.y, -1, q) % q
-    else:
-        lam = (p2.y - p1.y) * pow(p2.x - p1.x, -1, q) % q
-    x3 = (lam * lam - p1.x - p2.x) % q
-    y3 = (lam * (p1.x - x3) - p1.y) % q
-    return EcPoint(x3, y3)
+    return _add_unchecked(p1, p2, curve)
 
 
 def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
@@ -148,8 +135,8 @@ def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
 
 
 def _add_unchecked(p1: EcPoint, p2: EcPoint, curve: CurveParams) -> EcPoint:
-    # Same group law as point_add without re-validating operands; used by
-    # scalar_mul where every intermediate is already on the curve.
+    # The group law itself; point_add validates its operands first, and
+    # scalar_mul calls it directly since every intermediate is on the curve.
     if p1.is_infinity:
         return p2
     if p2.is_infinity:

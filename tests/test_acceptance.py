@@ -257,13 +257,25 @@ def test_11_hill_brute_force_desk_scale():
     assert outcome.recovered_key == "4e1f9a60"
     assert outcome.candidates_tested == 65536
     assert elapsed < 1.0
-    # the full 2^32 walk exists but must be asked for explicitly
+    # the full 2^32 search must be asked for explicitly
     try:
         attacks.brute_force_hill(img, enc, attacks.KeyMask.all_unknown())
         raise AssertionError("full search ran without the explicit flag")
     except ValueError:
         pass
-    print(f"ACCEPTANCE 11 PASS: 2^16 mask search in {elapsed:.3f}s; 2^32 mode gated behind a flag")
+    start = time.perf_counter()
+    full = attacks.brute_force_hill(
+        img, enc, attacks.KeyMask.all_unknown(), allow_full_search=True
+    )
+    full_elapsed = time.perf_counter() - start
+    assert full.status is attacks.AttackStatus.UNIQUE
+    assert full.recovered_key == "4e1f9a60"
+    assert full.candidates_tested == 2**32
+    assert full_elapsed < 1.0
+    print(
+        f"ACCEPTANCE 11 PASS: 2^16 mask search in {elapsed:.3f}s; 2^32 search "
+        f"gated behind a flag, {full_elapsed:.3f}s with it"
+    )
 
 
 def test_12_ecb_detector():

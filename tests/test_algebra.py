@@ -15,6 +15,7 @@ from cipher_autopsy.algebra import (
     mat4_vec_mod256,
     mod256_inv,
     solve_k_rows_mod256,
+    solve_rows_mod256,
 )
 
 byte = st.integers(min_value=0, max_value=255)
@@ -202,6 +203,12 @@ def test_solver_all_even_determinants():
         solve_k_rows_mod256([(2, 0, 10), (0, 2, 12)])
 
 
+def test_solver_all_even_determinants_can_be_inconsistent():
+    # 2k = 1 has no solution mod 256, however many pairs the rows allow
+    with pytest.raises(InconsistentError):
+        solve_k_rows_mod256([(2, 0, 1), (0, 2, 0)])
+
+
 def test_solver_needs_two_equations():
     with pytest.raises(ValueError):
         solve_k_rows_mod256([(1, 1, 1)])
@@ -247,3 +254,33 @@ def test_solver_cross_checked_by_exhaustive_search():
     solutions = list(zip(*np.nonzero(ok)))
     assert solutions == [(k, l)]
     assert solve_k_rows_mod256(eqs) == (k, l)
+
+
+def _oracle_rows(a, b, t):
+    # every (x, y) tried, one wide-integer check per row
+    x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    ok = np.ones(x.shape, dtype=bool)
+    for ai, bi, ti in zip(a, b, t):
+        ok &= (ai * x + bi * y - ti) % 256 == 0
+    return np.argwhere(ok)
+
+
+coef = st.sampled_from((0, 1, 2, 3, 4, 6, 8, 12, 64, 128, 255)) | byte
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(coef, coef), max_size=5),
+    planted=st.one_of(st.none(), st.tuples(byte, byte)),
+    targets=st.lists(coef, min_size=5, max_size=5),
+)
+def test_row_solver_matches_exhaustive_search(rows, planted, targets):
+    a = [r[0] for r in rows]
+    b = [r[1] for r in rows]
+    if planted is None:
+        t = targets[: len(rows)]
+    else:
+        t = [(ai * planted[0] + bi * planted[1]) % 256 for ai, bi in rows]
+    solutions = solve_rows_mod256(a, b, t)
+    assert np.array_equal(solutions, _oracle_rows(a, b, t))
+    assert len(solutions) in {0} | {2**k for k in range(17)}

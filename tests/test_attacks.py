@@ -129,6 +129,22 @@ def test_kpa_detects_tampered_redundant_rows():
     assert outcome.status is AttackStatus.INCONSISTENT
 
 
+def test_kpa_single_pair_no_key_fits():
+    # c_bot - c_top must equal p_top - p_bot = (1, 0) under every key
+    outcome = kpa_recover_hill_key([KpaSample((1, 0, 0, 0), (0, 0, 0, 0))])
+    assert outcome.status is AttackStatus.INCONSISTENT
+
+
+def test_kpa_even_coefficient_with_odd_target_is_inconsistent():
+    # both pairs satisfy c_bot - c_top = d, but ask for 2*k11 = 1 and
+    # 2*k11 = 3 (mod 256), which no byte solves
+    samples = [
+        KpaSample((2, 0, 0, 0), (1, 7, 3, 7)),
+        KpaSample((2, 0, 0, 0), (3, 7, 5, 7)),
+    ]
+    assert kpa_recover_hill_key(samples).status is AttackStatus.INCONSISTENT
+
+
 def test_kpa_requires_input():
     with pytest.raises(ValueError):
         kpa_recover_hill_key([])

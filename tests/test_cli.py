@@ -9,6 +9,7 @@ from cipher_autopsy.ecchc import ecchc_encrypt, encrypt_block, expand_key
 from cipher_autopsy.imagekit import (
     blocks_of,
     gen_checkerboard,
+    gen_constant,
     gen_noise,
     gen_photo,
     load_pgm,
@@ -223,6 +224,30 @@ def test_attack_brute_hill_full_needs_flag(tmp_path, capsys):
     code = run_cli("attack", "brute-hill", "--in", str(p), "--enc", str(p))
     assert code == cli.EXIT_ATTACK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encrypt", "--alg", "ecchc", "--key", "00000000", "--in", "{odd}", "--out", "{out}"],
+        ["decrypt", "--alg", "dwc", "--key", "00", "--in", "{odd}", "--out", "{out}"],
+        ["metrics", "--in", "{odd}", "--enc", "{even}"],
+        ["attack", "brute-hill", "--in", "{odd}", "--enc", "{odd}", "--mask", "00??00??"],
+        ["attack", "brute-hill", "--in", "{odd}", "--enc", "{even}", "--full"],
+        ["attack", "brute-dwc", "--enc", "{odd}"],
+        ["attack", "dwc-partial", "--enc", "{odd}"],
+        ["attack", "ecb-scan", "--enc", "{odd}"],
+    ],
+)
+def test_bad_dimensions_exit_3(tmp_path, capsys, argv):
+    paths = {name: tmp_path / f"{name}.pgm" for name in ("odd", "even", "out")}
+    paths["odd"].write_bytes(b"P5\n3 3\n255\n" + bytes(9))
+    save_pgm(gen_constant(0, 4, 4), paths["even"])
+    code = run_cli(*(arg.format(**paths) for arg in argv))
+    assert code == cli.EXIT_FILE
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["error"], err["code"]) == ("CliError", cli.EXIT_FILE)
 
 
 def test_attack_brute_dwc(tmp_path, capsys):
