@@ -262,17 +262,29 @@ def smoothness_scores(
     block.  For each key, measure how byte 0 sits against the median of
     bytes 1..3 of the same block: the number of blocks within `tolerance`
     and the summed absolute deviation.  Returns (key, count, total_dev).
+
+    All keys are scored from one joint histogram h[x, m] of (byte 0,
+    median), in exact integer arithmetic.  Prefix sums over m give, for
+    every byte y, g[x, y] = sum_m h[x, m] * |y - m| and the count of m
+    within tolerance of y; key k's figures are the sums over x at y = x ^ k.
     """
     blocks = blocks_of(cipher)
     partial = core_inverse_blocks(blocks) ^ counter_masks(len(blocks), 0)
-    b0 = partial[:, 0]
-    med = np.median(partial[:, 1:4], axis=1).astype(np.int32)
-    rows = []
-    for k in range(256):
-        cand = (b0 ^ np.uint8(k)).astype(np.int32)
-        dev = np.abs(cand - med)
-        rows.append((k, int(np.count_nonzero(dev <= tolerance)), int(dev.sum())))
-    return rows
+    med = np.sort(partial[:, 1:4], axis=1)[:, 1]
+    h = np.bincount((partial[:, 0].astype(np.uint16) << 8) | med, minlength=65536)
+    h = h.reshape(256, 256)
+    y = np.arange(256)
+    below = np.cumsum(h, axis=1)  # blocks with median <= y
+    below_sum = np.cumsum(h * y, axis=1)  # and the sum of those medians
+    g = 2 * (y * below - below_sum) + below_sum[:, -1:] - y * below[:, -1:]
+    # blocks with median in [lo, hi): prefix[hi] - prefix[lo]
+    prefix = np.pad(below, ((0, 0), (1, 0)))
+    lo = np.clip(y - tolerance, 0, 256)
+    hi = np.clip(y + tolerance + 1, lo, 256)
+    within = prefix[:, hi] - prefix[:, lo]
+    cand = y[:, None] ^ y  # cand[x, k]: byte 0 under key k
+    count, dev = (np.take_along_axis(t, cand, axis=1).sum(axis=0) for t in (within, g))
+    return list(zip(range(256), count.tolist(), dev.tolist()))
 
 
 def brute_force_dwc(

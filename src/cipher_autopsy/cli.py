@@ -4,7 +4,7 @@ Subcommands: keygen, encrypt, decrypt, metrics, report, gen, attack.
 Every command is deterministic given its flags and seed.  Failures emit a
 one-line JSON object on stderr and exit with a command-specific code:
 
-    2  usage errors (argparse)
+    2  usage errors (argparse, out-of-range option values)
     3  file / image format errors
     4  key or mask parse errors
     5  attack failures (no key found, refused search)
@@ -29,10 +29,13 @@ from . import algebra, attacks, dwc, ecchc, ecgroup, imagekit, metrics
 
 FIXTURES_ENV = "CIPHER_AUTOPSY_FIXTURES"
 
+EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_KEY = 4
 EXIT_ATTACK = 5
 EXIT_CURVE = 6
+
+MAX_SAMPLES = 1 << 20  # fixed-points holds 32 B per sample (4 int64s) while drawing
 
 
 class CliError(Exception):
@@ -353,6 +356,8 @@ def cmd_attack(args) -> int:
         return 0
 
     # fixed-points
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise CliError(f"--samples must be in [0, 2^20], got {args.samples}", EXIT_USAGE)
     key = _parse_hill_key(_require_arg(args, "key", "--key"))
     census = attacks.fixed_point_census(key, sample_count=args.samples, seed=args.seed)
     _emit(
@@ -433,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", help="hill key for fixed-points")
     p.add_argument("--mask", default="????" + "????", help="hill brute-force byte mask")
     p.add_argument("--full", action="store_true", help="allow the 2^32 search")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=int, default=4096, help="fixed-points probes, 0 to 2^20")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_attack)
 

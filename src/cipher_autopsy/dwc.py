@@ -9,6 +9,11 @@ alone.  CT substitutes bytes 0, 1 and 3 through the 8-bit S-box (byte 2
 passes through) and multiplies by a fixed circulant matrix over GF(2^8).
 Both pieces are the standard byte-substitution and column-mix primitives;
 neither depends on the key, so anyone can invert CT.
+
+CT runs in T-table form: each input byte's substitution and matrix column
+fold into one 256-entry table of 32-bit words, so a block costs four word
+gathers and three XORs; CT^-1 gathers through the inverse matrix's tables,
+then applies the inverse S-box to bytes 0, 1 and 3.
 """
 
 from __future__ import annotations
@@ -66,67 +71,62 @@ def column_matrix() -> ColumnMatrix:
 _SBOX = build_sbox()
 _SB = np.array(_SBOX.forward, dtype=np.uint8)
 _SB_INV = np.array(_SBOX.inverse, dtype=np.uint8)
+_IDENTITY = np.arange(256, dtype=np.uint8)
 
-# One 256-entry product table per distinct matrix coefficient.
-_GFTAB = {
-    c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8)
-    for c in (1, 2, 3, 0x09, 0x0B, 0x0D, 0x0E)
-}
+
+def _t_tables(rows, subs) -> tuple[np.ndarray, ...]:
+    """T-tables (Daemen & Rijmen, The Design of Rijndael, 2002, sec. 4.2):
+    T_j[x] is column j of the matrix times subs[j][x] over GF(2^8), packed
+    little-endian (byte r of the word is row r), so one output block is
+    T_0[x0] ^ T_1[x1] ^ T_2[x2] ^ T_3[x3]."""
+    products = {
+        c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint32)
+        for c in {c for row in rows for c in row}
+    }
+    tables = []
+    for j, sub in enumerate(subs):
+        word = np.zeros(256, dtype=np.uint32)
+        for r, row in enumerate(rows):
+            word |= products[row[j]][sub] << np.uint32(8 * r)
+        tables.append(word.astype("<u4"))
+    return tuple(tables)
+
+
+_T_FWD = _t_tables(MIX_ROWS, (_SB, _SB, _IDENTITY, _SB))
+_T_INV = _t_tables(MIX_INV_ROWS, (_IDENTITY,) * 4)
+
+
+def _mix_words(tables, blocks: np.ndarray) -> np.ndarray:
+    """One table gather per byte column, XORed, as (n, 4) bytes."""
+    words = np.take(tables[0], blocks[:, 0])
+    for j in (1, 2, 3):
+        words ^= np.take(tables[j], blocks[:, j])
+    return words.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
 
 
 def ct(p: Block) -> Block:
     """Core transform of one block: S-box on bytes 0, 1, 3, then the
     circulant multiply over GF(2^8)."""
-    s = _SBOX.forward
-    v = (s[p[0]], s[p[1]], p[2], s[p[3]])
-    out = []
-    for row in MIX_ROWS:
-        acc = 0
-        for coef, x in zip(row, v):
-            acc ^= gf_mul(coef, x)
-        out.append(acc)
-    return (out[0], out[1], out[2], out[3])
+    return tuple(core_transform_blocks(np.array([p], dtype=np.uint8))[0].tolist())
 
 
 def ct_inv(c: Block) -> Block:
     """Inverse core transform: inverse matrix, then three inverse lookups."""
-    w = []
-    for row in MIX_INV_ROWS:
-        acc = 0
-        for coef, x in zip(row, c):
-            acc ^= gf_mul(coef, x)
-        w.append(acc)
-    si = _SBOX.inverse
-    return (si[w[0]], si[w[1]], w[2], si[w[3]])
+    return tuple(core_inverse_blocks(np.array([c], dtype=np.uint8))[0].tolist())
 
 
 def core_transform_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Vectorized ct over an (n, 4) uint8 array."""
-    a0 = _SB[blocks[:, 0]]
-    a1 = _SB[blocks[:, 1]]
-    a2 = blocks[:, 2]
-    a3 = _SB[blocks[:, 3]]
-    t2, t3 = _GFTAB[2], _GFTAB[3]
-    return np.stack(
-        [
-            t2[a0] ^ t3[a1] ^ a2 ^ a3,
-            a0 ^ t2[a1] ^ t3[a2] ^ a3,
-            a0 ^ a1 ^ t2[a2] ^ t3[a3],
-            t3[a0] ^ a1 ^ a2 ^ t2[a3],
-        ],
-        axis=1,
-    )
+    """ct over an (n, 4) uint8 array: four T-table gathers per block."""
+    return _mix_words(_T_FWD, blocks)
 
 
 def core_inverse_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Vectorized ct_inv over an (n, 4) uint8 array."""
-    c0, c1, c2, c3 = (blocks[:, j] for j in range(4))
-    te, tb, td, t9 = _GFTAB[0x0E], _GFTAB[0x0B], _GFTAB[0x0D], _GFTAB[0x09]
-    w0 = te[c0] ^ tb[c1] ^ td[c2] ^ t9[c3]
-    w1 = t9[c0] ^ te[c1] ^ tb[c2] ^ td[c3]
-    w2 = td[c0] ^ t9[c1] ^ te[c2] ^ tb[c3]
-    w3 = tb[c0] ^ td[c1] ^ t9[c2] ^ te[c3]
-    return np.stack([_SB_INV[w0], _SB_INV[w1], w2, _SB_INV[w3]], axis=1)
+    """ct_inv over an (n, 4) uint8 array: four T-table gathers for the
+    inverse matrix, then the inverse S-box on bytes 0, 1 and 3."""
+    out = _mix_words(_T_INV, blocks)
+    for j in (0, 1, 3):
+        out[:, j] = np.take(_SB_INV, out[:, j])
+    return out
 
 
 def counter_masks(n: int, key: int) -> np.ndarray:
@@ -135,35 +135,22 @@ def counter_masks(n: int, key: int) -> np.ndarray:
 
     Block counts stay below 2^24 for any image this package handles, so
     byte 0 of the mask is exactly key ^ lsb(i) and bytes 1..3 are the low
-    three bytes of i.
+    three bytes of i: as a little-endian word that is
+    byteswap(i) ^ lsb(i) ^ key.
     """
     if not 0 <= key <= 255:
         raise ValueError("key must be a single byte")
-    i = np.arange(1, n + 1, dtype=np.uint32)
     if n >= 1 << 24:
         raise BadDimensionsError("block counter would collide with the key byte")
-    lsb = (i & 0xFF).astype(np.uint8)
-    return np.stack(
-        [
-            np.uint8(key) ^ lsb,
-            ((i >> 16) & 0xFF).astype(np.uint8),
-            ((i >> 8) & 0xFF).astype(np.uint8),
-            lsb,
-        ],
-        axis=1,
-    )
-
-
-def _require_blockable(img: GrayImage) -> None:
-    if img.size % 4 != 0:
-        raise BadDimensionsError(
-            f"pixel count {img.size} is not a multiple of 4"
-        )
+    i = np.arange(1, n + 1, dtype=np.uint32)
+    masks = i.byteswap()
+    masks ^= i & np.uint32(0xFF)
+    masks ^= np.uint32(key)
+    return masks.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
 
 
 def dwc_encrypt(img: GrayImage, key: int) -> GrayImage:
     """Counter-mask each block, then apply the core transform."""
-    _require_blockable(img)
     blocks = blocks_of(img)
     masked = blocks ^ counter_masks(len(blocks), key)
     return unblocks(core_transform_blocks(masked), img.width, img.height)
@@ -171,7 +158,6 @@ def dwc_encrypt(img: GrayImage, key: int) -> GrayImage:
 
 def dwc_decrypt(img: GrayImage, key: int) -> GrayImage:
     """Invert the core transform, then strip the counter mask."""
-    _require_blockable(img)
     blocks = blocks_of(img)
     unmasked = core_inverse_blocks(blocks) ^ counter_masks(len(blocks), key)
     return unblocks(unmasked, img.width, img.height)

@@ -152,10 +152,12 @@ def read_pgm(data: bytes) -> GrayImage:
         raise UnsupportedMaxvalError(f"maxval {maxval} unsupported, need 255")
     n = width * height
     if tokens[0] == b"P5":
-        raw = data[offset : offset + n]
-        if len(raw) < n:
-            raise TruncatedDataError(f"expected {n} pixels, got {len(raw)}")
-        return GrayImage.from_bytes(raw, width, height)
+        got = max(0, len(data) - offset)
+        if got < n:
+            raise TruncatedDataError(f"expected {n} pixels, got {got}")
+        # P5 pixels are a read-only view of the payload in `data`, not a copy.
+        pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
+        return GrayImage(pixels.reshape(height, width))
     body = data[offset:]
     # ASCII samples; comment lines may appear between values too.
     clean = b"\n".join(
@@ -173,10 +175,13 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage.from_bytes(bytes(values), width, height)
 
 
+def _p5_header(img: GrayImage) -> bytes:
+    return f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+
+
 def write_pgm(img: GrayImage) -> bytes:
     """Emit canonical binary P5: single separators, no comments."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return _p5_header(img) + img.tobytes()
 
 
 def load_pgm(path) -> GrayImage:
@@ -185,8 +190,9 @@ def load_pgm(path) -> GrayImage:
 
 
 def save_pgm(img: GrayImage, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_pgm(img))
+    with open(path, "wb") as fh:  # write_pgm's bytes, without joining a copy
+        fh.write(_p5_header(img))
+        fh.write(img.pixels)
 
 
 # ---------------------------------------------------------------------------

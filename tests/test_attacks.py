@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipher_autopsy.attacks import (
     AttackStatus,
@@ -15,7 +17,7 @@ from cipher_autopsy.attacks import (
     rle_mask,
     smoothness_scores,
 )
-from cipher_autopsy.dwc import dwc_encrypt
+from cipher_autopsy.dwc import dwc_decrypt, dwc_encrypt
 from cipher_autopsy.ecchc import ecchc_encrypt, encrypt_block, expand_key
 from cipher_autopsy.imagekit import (
     GrayImage,
@@ -300,6 +302,40 @@ def test_brute_dwc_custom_predicate_matches_default():
     via_predicate = dict(brute_force_dwc(cipher, predicate=neg_smoothness_dev))
     via_default = dict(brute_force_dwc(cipher))
     assert via_predicate == via_default
+
+
+def _oracle_smoothness_scores(cipher, tolerance):
+    # one pass per key over every block, the direct form of the score
+    partial = blocks_of(dwc_decrypt(cipher, 0))
+    b0 = partial[:, 0]
+    med = np.median(partial[:, 1:4], axis=1).astype(np.int32)
+    rows = []
+    for k in range(256):
+        dev = np.abs((b0 ^ np.uint8(k)).astype(np.int32) - med)
+        rows.append((k, int(np.count_nonzero(dev <= tolerance)), int(dev.sum())))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(1, 4), (2, 2), (8, 8), (16, 12), (64, 64)]),
+    kind=st.sampled_from(["photo", "noise", "constant"]),
+    key=st.integers(0, 255),
+    tolerance=st.sampled_from([0, 1, 16, 254, 255]),
+)
+def test_smoothness_scores_match_per_key_oracle(seed, shape, kind, key, tolerance):
+    h, w = shape
+    if kind == "photo":
+        img = gen_photo(seed % 1000, w, h)
+    elif kind == "noise":
+        img = gen_noise(seed, w, h)
+    else:
+        img = gen_constant(seed % 256, w, h)
+    cipher = dwc_encrypt(img, key)
+    got = smoothness_scores(cipher, tolerance)
+    assert got == _oracle_smoothness_scores(cipher, tolerance)
+    assert all(type(v) is int for row in got for v in row)
 
 
 # --- keyless partial recovery --------------------------------------------------------

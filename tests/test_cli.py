@@ -288,6 +288,23 @@ def test_attack_fixed_points(capsys):
     assert doc["sampled_tested"] == 1000
 
 
+@pytest.mark.parametrize(
+    "samples,code",
+    [("-1", 2), ("1048577", 2), (str(2**40), 2), ("0", 0), ("1048576", 0)],
+)
+def test_attack_fixed_points_samples_range(capsys, samples, code):
+    # [0, 2^20] is accepted; anything else is one JSON line and exit 2
+    assert run_cli("attack", "fixed-points", "--key", "00000000", "--samples", samples) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["sampled_tested"] == int(samples)
+        return
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["code"] == 2 and "--samples" in err["message"]
+
+
 def test_attack_missing_argument_is_clean_error(capsys):
     code = run_cli("attack", "fixed-points")
     assert code == cli.EXIT_FILE

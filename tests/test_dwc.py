@@ -166,13 +166,39 @@ def test_ct_byte2_bypasses_sbox_linearly():
 
 
 def test_vectorized_core_matches_scalar():
+    # ct and ct_inv wrap the kernels, so both are checked against the oracle
     rng = np.random.default_rng(20)
     blocks = rng.integers(0, 256, (300, 4), dtype=np.uint8)
     fwd = core_transform_blocks(blocks)
     inv = core_inverse_blocks(blocks)
     for i, b in enumerate(blocks):
-        assert tuple(fwd[i]) == ct(tuple(int(v) for v in b))
-        assert tuple(inv[i]) == ct_inv(tuple(int(v) for v in b))
+        p = tuple(int(v) for v in b)
+        assert tuple(fwd[i]) == ct(p) == _oracle_ct(p)
+        assert tuple(inv[i]) == ct_inv(p)
+        assert _oracle_ct(tuple(int(v) for v in inv[i])) == p
+
+
+def _oracle_rows(blocks):
+    return np.array([_oracle_ct(tuple(int(v) for v in b)) for b in blocks], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_kernels_match_oracle_for_every_value_in_each_byte(position):
+    rng = np.random.default_rng(24 + position)
+    blocks = np.repeat(rng.integers(0, 256, (1, 4), dtype=np.uint8), 256, axis=0)
+    blocks[:, position] = np.arange(256, dtype=np.uint8)
+    expected = _oracle_rows(blocks)
+    assert np.array_equal(core_transform_blocks(blocks), expected)
+    assert np.array_equal(core_inverse_blocks(expected), blocks)
+
+
+@settings(max_examples=200)
+@given(blocks=st.lists(block, min_size=0, max_size=40))
+def test_kernels_match_oracle_on_block_lists(blocks):
+    arr = np.array(blocks, dtype=np.uint8).reshape(-1, 4)
+    expected = _oracle_rows(arr).reshape(-1, 4)
+    assert np.array_equal(core_transform_blocks(arr), expected)
+    assert np.array_equal(core_inverse_blocks(expected), arr)
 
 
 # --- counter masking ---------------------------------------------------------------
@@ -197,6 +223,34 @@ def test_counter_mask_layout():
 def test_counter_mask_rejects_bad_key():
     with pytest.raises(ValueError):
         counter_masks(4, 256)
+
+
+def _oracle_counter_masks(n, key):
+    # byte-stack form: key ^ lsb(i), then the low three bytes of i, high first
+    i = np.arange(1, n + 1, dtype=np.uint32)
+    lsb = (i & 0xFF).astype(np.uint8)
+    return np.stack(
+        [
+            np.uint8(key) ^ lsb,
+            ((i >> 16) & 0xFF).astype(np.uint8),
+            ((i >> 8) & 0xFF).astype(np.uint8),
+            lsb,
+        ],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65535, 65536, 65537])
+@pytest.mark.parametrize("key", [0x00, 0x5A, 0xFF])
+def test_counter_masks_match_byte_stack_oracle(n, key):
+    got = counter_masks(n, key)
+    assert got.shape == (n, 4) and got.dtype == np.uint8
+    assert np.array_equal(got, _oracle_counter_masks(n, key))
+
+
+def test_counter_mask_rejects_counter_reaching_key_byte():
+    with pytest.raises(BadDimensionsError):
+        counter_masks(1 << 24, 0)
 
 
 # --- image encryption ---------------------------------------------------------------

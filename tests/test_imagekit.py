@@ -16,7 +16,9 @@ from cipher_autopsy.imagekit import (
     gen_drawing,
     gen_noise,
     gen_photo,
+    load_pgm,
     read_pgm,
+    save_pgm,
     unblocks,
     write_pgm,
 )
@@ -114,6 +116,22 @@ def test_pgm_rejects_out_of_range_ascii_sample():
 def test_write_is_canonical_p5():
     img = GrayImage.from_bytes(bytes([0, 128, 255, 7]), 2, 2)
     assert write_pgm(img) == b"P5\n2 2\n255\n\x00\x80\xff\x07"
+
+
+def test_save_pgm_writes_the_bytes_of_write_pgm(tmp_path):
+    img = _random_image(12, 7, 5)
+    path = tmp_path / "img.pgm"
+    save_pgm(img, path)
+    assert path.read_bytes() == write_pgm(img)
+    assert load_pgm(path) == img
+
+
+def test_read_pgm_p5_views_the_payload_without_copying():
+    data = b"P5\n# note\n3 2\n255\n" + bytes(range(6)) + b"trailing"
+    img = read_pgm(data)
+    assert img.tobytes() == bytes(range(6))
+    assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+    assert not img.pixels.flags.writeable
 
 
 # --- generators ---------------------------------------------------------------

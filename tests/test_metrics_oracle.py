@@ -1,0 +1,166 @@
+"""Differential test: the joint-histogram metrics against the direct
+int64 formulas (one difference array per metric), kept here as the oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cipher_autopsy.imagekit import GrayImage
+from cipher_autopsy.metrics import (
+    DimensionMismatchError,
+    EmptyImageError,
+    MetricsReport,
+    entropy,
+    evaluate_pair,
+    mse,
+    psnr,
+    uaci,
+)
+
+# --- oracle ---------------------------------------------------------------------
+
+
+def _oracle_check_pair(a, b):
+    if a.pixels.shape != b.pixels.shape:
+        raise DimensionMismatchError("shape")
+
+
+def _oracle_entropy(img):
+    if img.size == 0:
+        raise EmptyImageError("empty")
+    counts = np.bincount(img.pixels.ravel(), minlength=256)
+    p = counts[counts > 0] / img.size
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _oracle_mse(a, b):
+    _oracle_check_pair(a, b)
+    d = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
+    return int(np.sum(d * d)) / a.size
+
+
+def _oracle_psnr(a, b):
+    m = _oracle_mse(a, b)
+    if m == 0:
+        return math.inf
+    return 20 * math.log10(255) - 10 * math.log10(m)
+
+
+def _oracle_uaci(a, b):
+    _oracle_check_pair(a, b)
+    d = np.abs(a.pixels.astype(np.int64) - b.pixels.astype(np.int64))
+    return int(np.sum(d)) / (a.size * 255) * 100.0
+
+
+def _oracle_report(plain, transformed):
+    return MetricsReport(
+        entropy_bits=_oracle_entropy(transformed),
+        psnr_db=_oracle_psnr(plain, transformed),
+        uaci_percent=_oracle_uaci(plain, transformed),
+        mse=_oracle_mse(plain, transformed),
+    )
+
+
+# --- image pairs ------------------------------------------------------------------
+
+shapes = st.tuples(st.integers(1, 64), st.integers(1, 64))
+
+
+@st.composite
+def pairs(draw):
+    h, w = draw(shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["identical", "constant_vs_noise", "two_level", "noise"]))
+    noise = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    if kind == "identical":
+        return GrayImage(noise), GrayImage(noise.copy())
+    if kind == "constant_vs_noise":
+        const = np.full((h, w), draw(st.integers(0, 255)), dtype=np.uint8)
+        return (GrayImage(const), GrayImage(noise))[:: draw(st.sampled_from([1, -1]))]
+    if kind == "two_level":
+        a, b = (rng.integers(0, 2, (h, w), dtype=np.uint8) * np.uint8(255) for _ in "ab")
+        return GrayImage(a), GrayImage(b)
+    return GrayImage(noise), GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
+
+
+def _same(x, y):
+    return x == y and type(x) is type(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=pairs())
+def test_every_field_matches_the_oracle_bit_for_bit(pair):
+    a, b = pair
+    got, want = evaluate_pair(a, b), _oracle_report(a, b)
+    for field in ("entropy_bits", "psnr_db", "uaci_percent", "mse"):
+        assert _same(getattr(got, field), getattr(want, field)), field
+    assert got.to_json_dict() == want.to_json_dict()
+    assert _same(entropy(b), _oracle_entropy(b))
+    assert _same(mse(a, b), _oracle_mse(a, b))
+    assert _same(psnr(a, b), _oracle_psnr(a, b))
+    assert _same(uaci(a, b), _oracle_uaci(a, b))
+
+
+def test_identical_pair_gives_infinite_psnr():
+    img = GrayImage(np.arange(64, dtype=np.uint8).reshape(8, 8))
+    report = evaluate_pair(img, img)
+    assert report.psnr_db == math.inf == _oracle_psnr(img, img)
+    assert report.mse == 0.0 and report.uaci_percent == 0.0
+
+
+def test_extreme_pair_matches_oracle():
+    black = GrayImage(np.zeros((64, 64), dtype=np.uint8))
+    white = GrayImage(np.full((64, 64), 255, dtype=np.uint8))
+    assert evaluate_pair(black, white) == _oracle_report(black, white)
+    assert evaluate_pair(white, black).uaci_percent == 100.0
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (EmptyImageError, DimensionMismatchError, ZeroDivisionError) as exc:
+        return type(exc)
+    return None
+
+
+EMPTY = GrayImage(np.zeros((0, 4), dtype=np.uint8))
+OTHER_EMPTY = GrayImage(np.zeros((4, 0), dtype=np.uint8))
+SMALL = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+WIDE = GrayImage(np.zeros((2, 4), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "plain,transformed",
+    [
+        (EMPTY, EMPTY),
+        (SMALL, EMPTY),  # empty transformed: EmptyImageError before the shape check
+        (OTHER_EMPTY, EMPTY),
+        (EMPTY, SMALL),
+        (SMALL, WIDE),
+        (WIDE, SMALL),
+    ],
+)
+def test_errors_come_in_the_oracle_order(plain, transformed):
+    assert _raised(evaluate_pair, plain, transformed) == _raised(
+        _oracle_report, plain, transformed
+    )
+    for fn, oracle in ((mse, _oracle_mse), (psnr, _oracle_psnr), (uaci, _oracle_uaci)):
+        assert _raised(fn, plain, transformed) == _raised(oracle, plain, transformed)
+
+
+def test_empty_transformed_raises_empty_image_error():
+    with pytest.raises(EmptyImageError):
+        evaluate_pair(SMALL, EMPTY)
+    with pytest.raises(DimensionMismatchError):
+        evaluate_pair(EMPTY, SMALL)
+
+
+def test_image_spanning_several_histogram_chunks_matches_oracle():
+    # 600 x 601 pixels: more than one bincount chunk, the last one partial
+    rng = np.random.default_rng(50)
+    a = GrayImage(rng.integers(0, 256, (600, 601), dtype=np.uint8))
+    b = GrayImage(rng.integers(0, 256, (600, 601), dtype=np.uint8))
+    assert evaluate_pair(a, b) == _oracle_report(a, b)
