@@ -68,6 +68,26 @@ def gf_inv(a: int) -> int:
     return result
 
 
+def _gf_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Every product and inverse of GF(2^8) from log/antilog tables over
+    the generator 3 (x + 1): a*b = 3^(log a + log b), 1/a = 3^(255 - log a)."""
+    exp = [1]
+    for _ in range(254):  # x*3 = x ^ 2x, and 2x reduces when bit 7 is set
+        x = exp[-1]
+        exp.append(x ^ (x << 1) ^ (GF_POLY if x & 0x80 else 0))
+    antilog = np.array(exp * 2, dtype=np.uint8)  # log a + log b < 510 needs no mod
+    log = np.zeros(256, dtype=np.intp)
+    log[exp] = np.arange(255)
+    mul, inv = antilog[log[:, None] + log], antilog[255 - log]
+    mul[0] = mul[:, 0] = inv[0] = 0  # 0 has no logarithm
+    return mul, inv
+
+
+# GF_MUL[a, b] = gf_mul(a, b); GF_INV[a] = gf_inv(a), with 0 mapped to 0.
+GF_MUL, GF_INV = _gf_tables()
+GF_MUL.flags.writeable = GF_INV.flags.writeable = False
+
+
 def mod256_inv(a: int) -> int:
     """Inverse of a unit in Z/256; only odd bytes qualify."""
     if a % 2 == 0:

@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Block, solve_rows_mod256
-from .dwc import core_inverse_blocks, counter_masks, dwc_decrypt
+from .dwc import dwc_decrypt
 from .ecchc import HillKey, expand_key, hill_apply
-from .imagekit import GrayImage, blocks_of, unblocks
+from .imagekit import GrayImage, blocks_of
 from .metrics import DimensionMismatchError
 
 
@@ -231,11 +231,9 @@ def dwc_partial_recover(cipher: GrayImage) -> tuple[GrayImage, np.ndarray]:
     Returns the recovered image and a boolean mask of exactly-recovered
     pixels.
     """
-    blocks = blocks_of(cipher)
-    partial = core_inverse_blocks(blocks) ^ counter_masks(len(blocks), 0)
-    recovered = unblocks(partial, cipher.width, cipher.height)
-    mask = np.zeros(blocks.shape, dtype=bool)
-    mask[:, 1:] = True
+    recovered = dwc_decrypt(cipher, 0)
+    mask = np.ones((cipher.size // 4, 4), dtype=bool)
+    mask[:, 0] = False
     return recovered, mask.reshape(cipher.height, cipher.width)
 
 
@@ -268,8 +266,7 @@ def smoothness_scores(
     every byte y, g[x, y] = sum_m h[x, m] * |y - m| and the count of m
     within tolerance of y; key k's figures are the sums over x at y = x ^ k.
     """
-    blocks = blocks_of(cipher)
-    partial = core_inverse_blocks(blocks) ^ counter_masks(len(blocks), 0)
+    partial = blocks_of(dwc_decrypt(cipher, 0))
     med = np.sort(partial[:, 1:4], axis=1)[:, 1]
     h = np.bincount((partial[:, 0].astype(np.uint16) << 8) | med, minlength=65536)
     h = h.reshape(256, 256)

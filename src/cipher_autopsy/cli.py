@@ -17,6 +17,7 @@ from the CIPHER_AUTOPSY_FIXTURES environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -376,6 +377,7 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cipher-autopsy", description=__doc__.splitlines()[0]

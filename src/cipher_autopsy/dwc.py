@@ -11,19 +11,26 @@ Both pieces are the standard byte-substitution and column-mix primitives;
 neither depends on the key, so anyone can invert CT.
 
 CT runs in T-table form: each input byte's substitution and matrix column
-fold into one 256-entry table of 32-bit words, so a block costs four word
-gathers and three XORs; CT^-1 gathers through the inverse matrix's tables,
-then applies the inverse S-box to bytes 0, 1 and 3.
+fold into one 256-entry table of 32-bit words, and the tables of bytes
+(0, 1) and of bytes (2, 3) are XORed together into two 65536-entry pair
+tables.  A block, read as two little-endian uint16 halves, then costs two
+word gathers and one XOR.  CT^-1 gathers through the inverse matrix's
+pair tables, then applies the 8-bit inverse S-box to every byte and puts
+byte 2 back.  The tables come from the field's log/antilog tables
+(algebra.GF_MUL, algebra.GF_INV), each direction's on its first use.
+Encryption and decryption run through imagekit.map_blocks, one
+cache-sized chunk of blocks at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, gf_inv, gf_mul
-from .imagekit import BadDimensionsError, GrayImage, blocks_of, unblocks
+from .algebra import GF_INV, GF_MUL, Block
+from .imagekit import BadDimensionsError, GrayImage, blocks_of, map_blocks
 
 MIX_ROWS = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 MIX_INV_ROWS = (
@@ -46,22 +53,17 @@ class ColumnMatrix:
     m_inv: tuple[tuple[int, ...], ...]
 
 
-def _rotl8(x: int, n: int) -> int:
+def _rotl8(x, n: int):
     return ((x << n) | (x >> (8 - n))) & 0xFF
 
 
 def build_sbox() -> SBox:
     """Field inversion (0 mapped to 0) followed by the affine bit mix."""
-    forward = []
-    for x in range(256):
-        b = gf_inv(x) if x else 0
-        forward.append(
-            b ^ _rotl8(b, 1) ^ _rotl8(b, 2) ^ _rotl8(b, 3) ^ _rotl8(b, 4) ^ 0x63
-        )
-    inverse = [0] * 256
-    for x, s in enumerate(forward):
-        inverse[s] = x
-    return SBox(forward=tuple(forward), inverse=tuple(inverse))
+    b = GF_INV
+    forward = b ^ _rotl8(b, 1) ^ _rotl8(b, 2) ^ _rotl8(b, 3) ^ _rotl8(b, 4) ^ 0x63
+    inverse = np.empty(256, dtype=np.uint8)
+    inverse[forward] = np.arange(256)
+    return SBox(forward=tuple(forward.tolist()), inverse=tuple(inverse.tolist()))
 
 
 def column_matrix() -> ColumnMatrix:
@@ -74,33 +76,40 @@ _SB_INV = np.array(_SBOX.inverse, dtype=np.uint8)
 _IDENTITY = np.arange(256, dtype=np.uint8)
 
 
-def _t_tables(rows, subs) -> tuple[np.ndarray, ...]:
-    """T-tables (Daemen & Rijmen, The Design of Rijndael, 2002, sec. 4.2):
-    T_j[x] is column j of the matrix times subs[j][x] over GF(2^8), packed
-    little-endian (byte r of the word is row r), so one output block is
-    T_0[x0] ^ T_1[x1] ^ T_2[x2] ^ T_3[x3]."""
-    products = {
-        c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint32)
-        for c in {c for row in rows for c in row}
-    }
-    tables = []
+def _pair_tables(rows, subs) -> tuple[np.ndarray, np.ndarray]:
+    """Byte-pair T-tables (Daemen & Rijmen, The Design of Rijndael, 2002,
+    sec. 4.2).  T_j[x] is column j of the matrix times subs[j][x] over
+    GF(2^8), packed little-endian (byte r of the word is row r), so one
+    output block is T_0[x0] ^ T_1[x1] ^ T_2[x2] ^ T_3[x3].  Returns
+    T01[x0 | x1 << 8] = T_0[x0] ^ T_1[x1] and T23 likewise: the block's
+    two little-endian uint16 halves index them directly."""
+    t = []
     for j, sub in enumerate(subs):
         word = np.zeros(256, dtype=np.uint32)
         for r, row in enumerate(rows):
-            word |= products[row[j]][sub] << np.uint32(8 * r)
-        tables.append(word.astype("<u4"))
-    return tuple(tables)
+            word |= GF_MUL[row[j]][sub].astype(np.uint32) << np.uint32(8 * r)
+        t.append(word)
+    return tuple((t[j + 1][:, None] ^ t[j]).astype("<u4").ravel() for j in (0, 2))
 
 
-_T_FWD = _t_tables(MIX_ROWS, (_SB, _SB, _IDENTITY, _SB))
-_T_INV = _t_tables(MIX_INV_ROWS, (_IDENTITY,) * 4)
+# Each direction's tables (512 KiB) are built on first use, so a process
+# that only encrypts or only decrypts holds one pair.
+@functools.cache
+def _forward_tables() -> tuple[np.ndarray, np.ndarray]:
+    return _pair_tables(MIX_ROWS, (_SB, _SB, _IDENTITY, _SB))
+
+
+@functools.cache
+def _inverse_tables() -> tuple[np.ndarray, np.ndarray]:
+    return _pair_tables(MIX_INV_ROWS, (_IDENTITY,) * 4)
 
 
 def _mix_words(tables, blocks: np.ndarray) -> np.ndarray:
-    """One table gather per byte column, XORed, as (n, 4) bytes."""
-    words = np.take(tables[0], blocks[:, 0])
-    for j in (1, 2, 3):
-        words ^= np.take(tables[j], blocks[:, j])
+    """One pair-table gather per uint16 half, XORed, as (n, 4) bytes.
+    A uint16 index is always in range, so mode="wrap" skips bounds checks."""
+    halves = np.ascontiguousarray(blocks, dtype=np.uint8).view("<u2")
+    words = np.take(tables[0], halves[:, 0], mode="wrap")
+    words ^= np.take(tables[1], halves[:, 1], mode="wrap")
     return words.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
 
 
@@ -116,48 +125,55 @@ def ct_inv(c: Block) -> Block:
 
 
 def core_transform_blocks(blocks: np.ndarray) -> np.ndarray:
-    """ct over an (n, 4) uint8 array: four T-table gathers per block."""
-    return _mix_words(_T_FWD, blocks)
+    """ct over an (n, 4) uint8 array: two pair-table gathers per block."""
+    return _mix_words(_forward_tables(), blocks)
 
 
 def core_inverse_blocks(blocks: np.ndarray) -> np.ndarray:
-    """ct_inv over an (n, 4) uint8 array: four T-table gathers for the
-    inverse matrix, then the inverse S-box on bytes 0, 1 and 3."""
-    out = _mix_words(_T_INV, blocks)
-    for j in (0, 1, 3):
-        out[:, j] = np.take(_SB_INV, out[:, j])
+    """ct_inv over an (n, 4) uint8 array: two pair-table gathers for the
+    inverse matrix, then the inverse S-box on every byte, with byte 2 (which
+    bypasses the S-box) copied back."""
+    mixed = _mix_words(_inverse_tables(), blocks)
+    out = np.take(_SB_INV, mixed, mode="wrap")
+    out[:, 2] = mixed[:, 2]
     return out
 
 
-def counter_masks(n: int, key: int) -> np.ndarray:
-    """Per-block 32-bit masks i ^ ((key ^ lsb(i)) << 24) as (n, 4) bytes,
-    byte 0 most significant, i = 1..n.
-
-    Block counts stay below 2^24 for any image this package handles, so
-    byte 0 of the mask is exactly key ^ lsb(i) and bytes 1..3 are the low
-    three bytes of i: as a little-endian word that is
-    byteswap(i) ^ lsb(i) ^ key.
-    """
+def _check_counter(n: int, key: int) -> None:
     if not 0 <= key <= 255:
         raise ValueError("key must be a single byte")
     if n >= 1 << 24:
         raise BadDimensionsError("block counter would collide with the key byte")
-    i = np.arange(1, n + 1, dtype=np.uint32)
+
+
+def _masks(start: int, stop: int, key: int) -> np.ndarray:
+    """The counter masks of blocks start+1 .. stop (counters are 1-based).
+
+    Block counts stay below 2^24 (_check_counter), so byte 0 of the mask
+    is exactly key ^ lsb(i) and bytes 1..3 are the low three bytes of i:
+    as a little-endian word that is byteswap(i) ^ lsb(i) ^ key.
+    """
+    i = np.arange(start + 1, stop + 1, dtype=np.uint32)
     masks = i.byteswap()
     masks ^= i & np.uint32(0xFF)
     masks ^= np.uint32(key)
     return masks.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
 
 
+def counter_masks(n: int, key: int) -> np.ndarray:
+    """Per-block 32-bit masks i ^ ((key ^ lsb(i)) << 24) as (n, 4) bytes,
+    byte 0 most significant, i = 1..n."""
+    _check_counter(n, key)
+    return _masks(0, n, key)
+
+
 def dwc_encrypt(img: GrayImage, key: int) -> GrayImage:
     """Counter-mask each block, then apply the core transform."""
-    blocks = blocks_of(img)
-    masked = blocks ^ counter_masks(len(blocks), key)
-    return unblocks(core_transform_blocks(masked), img.width, img.height)
+    _check_counter(len(blocks_of(img)), key)
+    return map_blocks(img, lambda b, s: core_transform_blocks(b ^ _masks(s, s + len(b), key)))
 
 
 def dwc_decrypt(img: GrayImage, key: int) -> GrayImage:
     """Invert the core transform, then strip the counter mask."""
-    blocks = blocks_of(img)
-    unmasked = core_inverse_blocks(blocks) ^ counter_masks(len(blocks), key)
-    return unblocks(unmasked, img.width, img.height)
+    _check_counter(len(blocks_of(img)), key)
+    return map_blocks(img, lambda b, s: core_inverse_blocks(b) ^ _masks(s, s + len(b), key))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Block, Mat2, Mat4
-from .imagekit import BadDimensionsError, GrayImage, blocks_of, unblocks
+from .imagekit import BadDimensionsError, GrayImage, map_blocks
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def _require_even_dims(img: GrayImage) -> None:
 def ecchc_encrypt(img: GrayImage, key: HillKey) -> GrayImage:
     """ECB encryption: every canonical block is multiplied by km mod 256."""
     _require_even_dims(img)
-    return unblocks(hill_apply(blocks_of(img), key.k), img.width, img.height)
+    return map_blocks(img, lambda b, _: hill_apply(b, key.k))
 
 
 def ecchc_decrypt(img: GrayImage, key: HillKey) -> GrayImage:

@@ -4,12 +4,15 @@ and deterministic generators for the demonstration images.
 The canonical block order is defined once, here: the raster is flattened
 row-major and cut into consecutive, non-overlapping groups of 4 pixels.
 Every cipher and attack in this package uses this codec, so a plaintext
-block index means the same thing everywhere.
+block index means the same thing everywhere.  Both ciphers apply it
+through map_blocks, which feeds a kernel the block sequence in
+cache-sized chunks and reassembles the raster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,6 +103,25 @@ def unblocks(blocks: np.ndarray, width: int, height: int) -> GrayImage:
     if flat.size != width * height:
         raise BadDimensionsError("block payload does not match dimensions")
     return GrayImage(flat.reshape(height, width))
+
+
+MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
+
+
+def map_blocks(
+    img: GrayImage, kernel: Callable[[np.ndarray, int], np.ndarray]
+) -> GrayImage:
+    """Apply a block cipher kernel over the canonical block sequence.
+
+    kernel(chunk, start) maps the (m, 4) uint8 blocks start .. start+m-1 to
+    their (m, 4) output; it is called on consecutive chunks of MAP_CHUNK
+    blocks and the outputs are reassembled in order.
+    """
+    blocks = blocks_of(img)
+    out = np.empty_like(blocks)
+    for start in range(0, len(blocks), MAP_CHUNK):
+        out[start : start + MAP_CHUNK] = kernel(blocks[start : start + MAP_CHUNK], start)
+    return unblocks(out, img.width, img.height)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +233,8 @@ def gen_checkerboard(cell: int = 32, width: int = 256, height: int = 256) -> Gra
         raise BadCellSizeError(
             f"cell {cell} must be a positive multiple of 4 dividing {width}x{height}"
         )
-    y, x = np.mgrid[:height, :width]
-    board = (((x // cell) + (y // cell)) % 2) * np.uint8(255)
-    return GrayImage(board.astype(np.uint8))
+    parity = (np.arange(height)[:, None] // cell + np.arange(width) // cell) % 2
+    return GrayImage((parity * 255).astype(np.uint8))
 
 
 def gen_constant(value: int, width: int = 256, height: int = 256) -> GrayImage:
@@ -255,7 +276,7 @@ def gen_drawing(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage
     cy = int(rng.integers(height // 4, 3 * height // 4))
     rx = int(rng.integers(width // 16, width // 9))
     ry = int(rng.integers(height // 16, height // 9))
-    yy, xx = np.mgrid[:height, :width]
+    yy, xx = np.ogrid[:height, :width]
     mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
     canvas[mask] = _INK[int(rng.integers(len(_INK)))]
 
@@ -282,7 +303,10 @@ def gen_photo(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage:
     copyrighted test images.
     """
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[:height, :width].astype(np.float64)
+    # a row of x and a column of y, broadcast: the same per-pixel arithmetic
+    # as full coordinate grids, without building them
+    xx = np.arange(width, dtype=np.float64)
+    yy = np.arange(height, dtype=np.float64)[:, None]
     phase_x = rng.uniform(0, 2 * np.pi)
     phase_y = rng.uniform(0, 2 * np.pi)
     # Amplitudes picked so the value spread around mid-gray lands in the

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipher_autopsy.algebra import (
+    GF_INV,
+    GF_MUL,
     MAT4_IDENTITY,
     InconsistentError,
     UnderdeterminedError,
@@ -92,6 +94,13 @@ def test_gf_mul_exhaustive_against_log_tables():
             expected = _oracle_mul_log(a, b)
             assert gf_mul(a, b) == expected
             assert gf_mul(b, a) == expected
+
+
+def test_product_and_inverse_tables_match_scalar_arithmetic():
+    assert GF_MUL.shape == (256, 256) and GF_MUL.dtype == np.uint8
+    assert all(GF_MUL[a, b] == gf_mul(a, b) for a in range(256) for b in range(256))
+    assert GF_INV[0] == 0
+    assert all(GF_INV[a] == gf_inv(a) for a in range(1, 256))
 
 
 @settings(max_examples=300)

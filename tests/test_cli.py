@@ -96,6 +96,21 @@ def test_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_successive_commands(tmp_path, capsys):
+    # the parser is built once per process; no option leaks between calls
+    a = tmp_path / "a.pgm"
+    save_pgm(gen_checkerboard(), a)
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("metrics", "--in", str(a), "--enc", str(a))
+    assert run_cli(*argv, "--format", "csv", "--alg", "dwc", "--image", "board") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "dwc,board,1.0000,inf,0.0000"
+    code, doc = run_json(capsys, "keygen", "--seed", "9")
+    assert code == 0 and doc["km_self_inverse"] is True
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert (doc["algorithm"], doc["image"], doc["psnr"]) == ("-", "-", "inf")
+
+
 # --- keygen -----------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from cipher_autopsy.dwc import (
     dwc_encrypt,
 )
 from cipher_autopsy.imagekit import (
+    MAP_CHUNK,
     BadDimensionsError,
     GrayImage,
     blocks_of,
@@ -86,6 +87,31 @@ def _oracle_ct(p):
 
 
 _ORACLE_SBOX = _oracle_sbox()
+
+# the oracle's products by every matrix coefficient, for whole-array checks
+_ORACLE_MUL = {
+    c: np.array([_oracle_gf_mul(c, x) for x in range(256)], dtype=np.uint8)
+    for c in {c for row in MIX_ROWS for c in row}
+}
+
+
+def _oracle_ct_array(blocks):
+    """_oracle_ct over an (n, 4) uint8 array: S-box, then the matrix,
+    byte by byte."""
+    v = np.array(_ORACLE_SBOX, dtype=np.uint8)[blocks]
+    v[:, 2] = blocks[:, 2]
+    out = np.zeros_like(blocks)
+    for r, row in enumerate(MIX_ROWS):
+        for j, coef in enumerate(row):
+            out[:, r] ^= _ORACLE_MUL[coef][v[:, j]]
+    return out
+
+
+def _oracle_dwc_encrypt(img, key):
+    """The whole-array formula: mask every block with its byte-stack
+    counter mask, then the oracle core."""
+    blocks = blocks_of(img)
+    return _oracle_ct_array(blocks ^ _oracle_counter_masks(len(blocks), key))
 
 
 # --- S-box ---------------------------------------------------------------------
@@ -201,6 +227,25 @@ def test_kernels_match_oracle_on_block_lists(blocks):
     assert np.array_equal(core_inverse_blocks(expected), arr)
 
 
+def test_array_oracle_matches_scalar_oracle():
+    rng = np.random.default_rng(25)
+    blocks = rng.integers(0, 256, (200, 4), dtype=np.uint8)
+    assert np.array_equal(_oracle_ct_array(blocks), _oracle_rows(blocks))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
+def test_kernels_match_oracle_for_every_byte_pair(pair):
+    # every index of one pair table, with the other half random per block
+    rng = np.random.default_rng(26 + pair[0])
+    blocks = rng.integers(0, 256, (65536, 4), dtype=np.uint8)
+    values = np.arange(65536)
+    blocks[:, pair[0]] = values & 0xFF
+    blocks[:, pair[1]] = values >> 8
+    expected = _oracle_ct_array(blocks)
+    assert np.array_equal(core_transform_blocks(blocks), expected)
+    assert np.array_equal(core_inverse_blocks(expected), blocks)
+
+
 # --- counter masking ---------------------------------------------------------------
 
 
@@ -314,3 +359,43 @@ def test_image_path_matches_scalar_pipeline():
         masked = (word >> 24 & 0xFF, word >> 16 & 0xFF, word >> 8 & 0xFF, word & 0xFF)
         expected.append(ct(masked))
     assert [tuple(int(v) for v in b) for b in blocks_of(enc)] == expected
+
+
+# Chunk boundaries of the block map: one block, one chunk less one block,
+# exactly one chunk, one block more, and several chunks plus a remainder.
+CHUNK_EDGES = [1, MAP_CHUNK - 1, MAP_CHUNK, MAP_CHUNK + 1, 3 * MAP_CHUNK + 7]
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_image_path_matches_whole_array_oracle_across_chunks(n):
+    rng = np.random.default_rng(n)
+    img = GrayImage(rng.integers(0, 256, (2 * n, 2), dtype=np.uint8))
+    key = int(rng.integers(256))
+    expected = _oracle_dwc_encrypt(img, key)
+    enc = dwc_encrypt(img, key)
+    assert np.array_equal(blocks_of(enc), expected)
+    assert dwc_decrypt(enc, key) == img
+    # decrypt of arbitrary bytes is the preimage under the oracle
+    dec = dwc_decrypt(img, key)
+    assert np.array_equal(_oracle_dwc_encrypt(dec, key), blocks_of(img))
+
+
+def test_bad_pixel_count_is_reported_before_a_bad_key():
+    img = GrayImage(np.zeros((3, 3), dtype=np.uint8))
+    for fn in (dwc_encrypt, dwc_decrypt):
+        with pytest.raises(BadDimensionsError):
+            fn(img, 256)
+        with pytest.raises(ValueError, match="single byte"):
+            fn(gen_constant(0, 4, 4), 256)
+
+
+def test_image_of_2_24_blocks_is_rejected():
+    # 2^24 blocks; np.zeros pages are never touched, so this stays small
+    img = GrayImage(np.zeros((4096, 1 << 14), dtype=np.uint8))
+    for fn in (dwc_encrypt, dwc_decrypt):
+        with pytest.raises(BadDimensionsError, match="counter"):
+            fn(img, 0)
+        with pytest.raises(ValueError, match="single byte"):
+            fn(img, -1)
+    with pytest.raises(ValueError, match="single byte"):
+        counter_masks(1 << 24, 256)

@@ -12,6 +12,7 @@ from cipher_autopsy.ecchc import (
     expand_key,
 )
 from cipher_autopsy.imagekit import (
+    MAP_CHUNK,
     BadDimensionsError,
     GrayImage,
     blocks_of,
@@ -158,3 +159,15 @@ def test_rejects_odd_dimensions():
     img = GrayImage(np.zeros((3, 4), dtype=np.uint8))  # 12 pixels but odd height
     with pytest.raises(BadDimensionsError):
         ecchc_encrypt(img, key)
+
+
+@pytest.mark.parametrize("n", [1, MAP_CHUNK - 1, MAP_CHUNK, MAP_CHUNK + 1, 3 * MAP_CHUNK + 7])
+def test_image_path_matches_whole_array_matmul_across_chunks(n):
+    # oracle: every block times the expanded 4x4 matrix, in int64, mod 256
+    rng = np.random.default_rng(n)
+    key = _random_key(rng)
+    img = GrayImage(rng.integers(0, 256, (2 * n, 2), dtype=np.uint8))
+    expected = (blocks_of(img).astype(np.int64) @ np.array(key.km).T) % 256
+    enc = ecchc_encrypt(img, key)
+    assert np.array_equal(blocks_of(enc), expected)
+    assert ecchc_decrypt(enc, key) == img

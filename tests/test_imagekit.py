@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipher_autopsy.imagekit import (
+    MAP_CHUNK,
     BadCellSizeError,
     BadDimensionsError,
     GrayImage,
@@ -17,6 +18,7 @@ from cipher_autopsy.imagekit import (
     gen_noise,
     gen_photo,
     load_pgm,
+    map_blocks,
     read_pgm,
     save_pgm,
     unblocks,
@@ -188,3 +190,110 @@ def test_photo_determinism_and_shape():
     # photograph-like: lots of levels, mid-heavy histogram
     assert len(np.unique(img.pixels)) > 128
     assert 5.5 < entropy(img) < 8.0
+
+
+# --- generators against the full-grid formulas ---------------------------------
+
+
+def _oracle_checkerboard(cell, width, height):
+    y, x = np.mgrid[:height, :width]
+    board = (((x // cell) + (y // cell)) % 2) * np.uint8(255)
+    return board.astype(np.uint8)
+
+
+def _oracle_drawing(seed, width, height):
+    rng = np.random.default_rng(seed)
+    canvas = np.full((height, width), 255, dtype=np.uint8)
+    for _ in range(2):
+        w = int(rng.integers(width // 10, width // 5))
+        h = int(rng.integers(height // 12, height // 6))
+        x0 = int(rng.integers(0, width - w))
+        y0 = int(rng.integers(0, height - h))
+        canvas[y0 : y0 + h, x0 : x0 + w] = (0, 96, 176)[int(rng.integers(3))]
+    cx = int(rng.integers(width // 4, 3 * width // 4))
+    cy = int(rng.integers(height // 4, 3 * height // 4))
+    rx = int(rng.integers(width // 16, width // 9))
+    ry = int(rng.integers(height // 16, height // 9))
+    yy, xx = np.mgrid[:height, :width]
+    mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+    canvas[mask] = (0, 96, 176)[int(rng.integers(3))]
+    for _ in range(6):
+        ink = (0, 96, 176)[int(rng.integers(3))]
+        if rng.integers(2):
+            r = int(rng.integers(height))
+            x0, x1 = sorted(rng.integers(0, width, size=2))
+            canvas[r, x0:x1] = ink
+        else:
+            c = int(rng.integers(width))
+            y0, y1 = sorted(rng.integers(0, height, size=2))
+            canvas[y0:y1, c] = ink
+    return canvas
+
+
+def _oracle_photo(seed, width, height):
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[:height, :width].astype(np.float64)
+    phase_x = rng.uniform(0, 2 * np.pi)
+    phase_y = rng.uniform(0, 2 * np.pi)
+    base = (
+        128.0
+        + 85.0
+        * np.sin(2 * np.pi * xx / width + phase_x)
+        * np.cos(2 * np.pi * yy / height + phase_y)
+        + 44.0 * (xx / width - 0.5)
+        + 30.0 * (yy / height - 0.5)
+    )
+    noise = rng.normal(0.0, 9.0, size=(height, width))
+    return np.clip(base + noise, 0, 255).astype(np.uint8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 96), height=st.integers(1, 96))
+def test_photo_matches_full_grid_formula(seed, width, height):
+    assert np.array_equal(gen_photo(seed, width, height).pixels, _oracle_photo(seed, width, height))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(18, 96), height=st.integers(18, 96))
+def test_drawing_matches_full_grid_formula(seed, width, height):
+    assert np.array_equal(gen_drawing(seed, width, height).pixels, _oracle_drawing(seed, width, height))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell=st.sampled_from([4, 8, 12, 16]), nx=st.integers(1, 8), ny=st.integers(1, 8))
+def test_checkerboard_matches_full_grid_formula(cell, nx, ny):
+    got = gen_checkerboard(cell, cell * nx, cell * ny).pixels
+    assert np.array_equal(got, _oracle_checkerboard(cell, cell * nx, cell * ny))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_generators_match_full_grid_formulas_on_a_large_image(seed):
+    assert np.array_equal(gen_photo(seed, 1024, 512).pixels, _oracle_photo(seed, 1024, 512))
+    assert np.array_equal(gen_drawing(seed, 1024, 512).pixels, _oracle_drawing(seed, 1024, 512))
+
+
+# --- block map ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, MAP_CHUNK, MAP_CHUNK + 1, 2 * MAP_CHUNK + 3])
+def test_map_blocks_feeds_consecutive_chunks_in_order(n):
+    img = GrayImage((np.arange(4 * n) % 256).astype(np.uint8).reshape(-1, 4))
+    calls = []
+
+    def kernel(chunk, start):
+        calls.append((start, len(chunk)))
+        return 255 - chunk
+
+    out = map_blocks(img, kernel)
+    assert out.pixels.shape == img.pixels.shape
+    assert np.array_equal(out.pixels, 255 - img.pixels)
+    starts = list(range(0, n, MAP_CHUNK))
+    assert calls == [(s, min(MAP_CHUNK, n - s)) for s in starts]
+
+
+def test_map_blocks_rejects_unblockable_before_calling_the_kernel():
+    def kernel(chunk, start):
+        raise AssertionError("kernel called")
+
+    with pytest.raises(BadDimensionsError):
+        map_blocks(GrayImage(np.zeros((3, 3), dtype=np.uint8)), kernel)
