@@ -1,14 +1,21 @@
 """Command-line front end.
 
 Subcommands: keygen, encrypt, decrypt, metrics, report, gen, attack.
-Every command is deterministic given its flags and seed.  Failures emit a
-one-line JSON object on stderr and exit with a command-specific code:
+Every command is deterministic given its flags and seed.  A failure writes
+one JSON line {"error", "message", "code"} on stderr and exits with the
+code; main() is the one place a library exception becomes an exit code,
+matched along the exception's class hierarchy (EXIT_CODES):
 
-    2  usage errors (argparse, out-of-range option values)
-    3  file / image format errors
-    4  key or mask parse errors
-    5  attack failures (no key found, refused search)
-    6  degenerate elliptic-curve outcomes
+    2  usage: argparse errors, option values the library rejects
+       (ValueError, e.g. a negative seed), --samples out of range
+    3  files: OSError, UnicodeError, PgmError, BadDimensionsError,
+       BadCellSizeError, DimensionMismatchError, missing arguments,
+       malformed kpa sample lines
+    4  key or mask text that does not parse
+    5  attacks: KeyNotFoundError, SearchRefusedError, a kpa verdict
+       other than unique
+    6  curve degeneracy: DegenerateSharedPointError,
+       DegenerateDerivedPointError
 
 The optional photo fixtures directory (lena.pgm and friends) is taken
 from the CIPHER_AUTOPSY_FIXTURES environment variable.
@@ -19,8 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
+import string
 import sys
 import time
 
@@ -45,47 +52,36 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_image(path) -> imagekit.GrayImage:
+def _stderr_json(obj) -> None:
+    print(json.dumps(obj), file=sys.stderr)
+
+
+def _report_error(message: str, code: int) -> int:
+    _stderr_json({"error": "CliError", "message": message, "code": code})
+    return code
+
+
+def _parse_key(parse, text: str, what: str):
     try:
-        return imagekit.load_pgm(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_FILE)
-    except imagekit.PgmError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_FILE)
-
-
-def _save_image(img: imagekit.GrayImage, path) -> None:
-    try:
-        imagekit.save_pgm(img, path)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_FILE)
-
-
-def _parse_hill_key(text: str) -> ecchc.HillKey:
-    try:
-        return ecchc.HillKey.from_hex(text)
+        return parse(text)
     except ValueError as exc:
-        raise CliError(f"bad hill key: {exc}", EXIT_KEY)
+        raise CliError(f"bad {what} {text!r}: {exc}", EXIT_KEY)
 
 
-def _parse_dwc_key(text: str) -> int:
-    text = text.strip().lower()
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise CliError(f"bad dwc key {text!r}: want 2 hex digits", EXIT_KEY)
-    if len(text) != 2 or not 0 <= value <= 255:
-        raise CliError(f"bad dwc key {text!r}: want 2 hex digits", EXIT_KEY)
+def _dwc_byte(text: str) -> int:
+    value = int(text, 16) if len(text.strip()) == 2 else -1
+    if not 0 <= value <= 255:
+        raise ValueError("want 2 hex digits")
     return value
 
 
 def _emit(obj, args) -> None:
+    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(obj if isinstance(obj, str) else json.dumps(obj, indent=2))
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
-        print(obj if isinstance(obj, str) else json.dumps(obj, indent=2))
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +91,12 @@ def _emit(obj, args) -> None:
 
 def cmd_keygen(args) -> int:
     curve = ecgroup.DEFAULT_CURVE
-    try:
-        alice = ecgroup.keygen(curve, args.seed)
-        bob = ecgroup.keygen(curve, args.seed + 1)
-        k_ab = ecgroup.shared_point(alice.private_n, bob.public_p, curve)
-        k_ba = ecgroup.shared_point(bob.private_n, alice.public_p, curve)
-        k_a = ecgroup.derive_hill_key(k_ab, curve)
-        k_b = ecgroup.derive_hill_key(k_ba, curve)
-    except (
-        ecgroup.DegenerateSharedPointError,
-        ecgroup.DegenerateDerivedPointError,
-    ) as exc:
-        raise CliError(str(exc), EXIT_CURVE)
+    alice = ecgroup.keygen(curve, args.seed)
+    bob = ecgroup.keygen(curve, args.seed + 1)
+    k_ab = ecgroup.shared_point(alice.private_n, bob.public_p, curve)
+    k_ba = ecgroup.shared_point(bob.private_n, alice.public_p, curve)
+    k_a = ecgroup.derive_hill_key(k_ab, curve)
+    k_b = ecgroup.derive_hill_key(k_ba, curve)
     if k_ab != k_ba or k_a != k_b:
         raise CliError("two-party agreement mismatch", EXIT_CURVE)
     key = ecchc.expand_key(k_a)
@@ -133,29 +123,21 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def _cipher_apply(args, forward: bool) -> int:
-    img = _load_image(getattr(args, "in"))
+def cmd_cipher(args) -> int:
+    img = imagekit.load_pgm(getattr(args, "in"))
     if args.alg == "ecchc":
-        key = _parse_hill_key(args.key)
-        fn = ecchc.ecchc_encrypt if forward else ecchc.ecchc_decrypt
+        key = _parse_key(ecchc.HillKey.from_hex, args.key, "hill key")
+        fn = ecchc.ecchc_encrypt if args.forward else ecchc.ecchc_decrypt
     else:
-        key = _parse_dwc_key(args.key)
-        fn = dwc.dwc_encrypt if forward else dwc.dwc_decrypt
-    _save_image(fn(img, key), args.out)
+        key = _parse_key(_dwc_byte, args.key, "dwc key")
+        fn = dwc.dwc_encrypt if args.forward else dwc.dwc_decrypt
+    imagekit.save_pgm(fn(img, key), args.out)
     return 0
 
 
-def cmd_encrypt(args) -> int:
-    return _cipher_apply(args, forward=True)
-
-
-def cmd_decrypt(args) -> int:
-    return _cipher_apply(args, forward=False)
-
-
 def cmd_metrics(args) -> int:
-    plain = _load_image(getattr(args, "in"))
-    enc = _load_image(args.enc)
+    plain = imagekit.load_pgm(getattr(args, "in"))
+    enc = imagekit.load_pgm(args.enc)
     report = metrics.evaluate_pair(plain, enc)
     row = {"algorithm": args.alg or "-", "image": args.image or "-"}
     row.update(report.to_json_dict())
@@ -196,10 +178,7 @@ def _report_images(seed: int):
                 try:
                     img = imagekit.load_pgm(os.path.join(fixtures, name))
                 except (OSError, imagekit.PgmError):
-                    print(
-                        json.dumps({"warning": f"skipping fixture {name}"}),
-                        file=sys.stderr,
-                    )
+                    _stderr_json({"warning": f"skipping fixture {name}"})
                     continue
                 named.append((os.path.splitext(name)[0], img))
     return named
@@ -212,26 +191,17 @@ def cmd_report(args) -> int:
     k_i = ecgroup.shared_point(alice.private_n, bob.public_p, curve)
     hill = ecchc.expand_key(ecgroup.derive_hill_key(k_i, curve))
     dwc_key = ecgroup.splitmix64(args.seed) & 0xFF
+    ciphers = (("ecchc", ecchc.ecchc_encrypt, hill), ("dwc", dwc.dwc_encrypt, dwc_key))
     rows = []
     for image_name, img in _report_images(args.seed):
-        for alg in ("ecchc", "dwc"):
-            if alg == "ecchc":
-                if img.width % 2 or img.height % 2 or img.size % 4:
-                    print(
-                        json.dumps(
-                            {"warning": f"{image_name}: skipped for ecchc (odd dimensions)"}
-                        ),
-                        file=sys.stderr,
-                    )
-                    continue
-                enc = ecchc.ecchc_encrypt(img, hill)
-            else:
-                if img.size % 4:
-                    continue
-                enc = dwc.dwc_encrypt(img, dwc_key)
-            report = metrics.evaluate_pair(img, enc)
+        for alg, encrypt, key in ciphers:
+            try:
+                enc = encrypt(img, key)
+            except imagekit.BadDimensionsError as exc:
+                _stderr_json({"warning": f"{image_name}: skipped for {alg} ({exc})"})
+                continue
             row = {"algorithm": alg, "image": image_name}
-            row.update(report.to_json_dict())
+            row.update(metrics.evaluate_pair(img, enc).to_json_dict())
             rows.append(row)
     rows.sort(key=lambda r: (r["algorithm"], r["image"]))
     if args.format == "csv":
@@ -242,47 +212,34 @@ def cmd_report(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "checkerboard":
-            img = imagekit.gen_checkerboard(cell=args.cell)
-        elif args.kind == "drawing":
-            img = imagekit.gen_drawing(args.seed)
-        elif args.kind == "noise":
-            img = imagekit.gen_noise(args.seed)
-        elif args.kind == "constant":
-            img = imagekit.gen_constant(args.value)
-        else:
-            img = imagekit.gen_photo(args.seed)
-    except (imagekit.BadCellSizeError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_FILE)
-    _save_image(img, args.out)
+    if args.kind == "checkerboard":
+        img = imagekit.gen_checkerboard(cell=args.cell)
+    elif args.kind == "constant":
+        img = imagekit.gen_constant(args.value)
+    else:
+        img = getattr(imagekit, f"gen_{args.kind}")(args.seed)
+    imagekit.save_pgm(img, args.out)
     return 0
 
 
 def _read_kpa_samples(path) -> list[attacks.KpaSample]:
-    """One pair per line: 16 hex digits, plaintext block then ciphertext."""
+    """One pair per line: 16 hex digits, plaintext block then ciphertext.
+
+    Bytes that are not UTF-8 are read as escapes, so such a line fails the
+    hex check and the error names the file and line.
+    """
     samples = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if len(line) != 16:
-                    raise CliError(
-                        f"{path}:{lineno}: want 16 hex digits per pair", EXIT_FILE
-                    )
-                try:
-                    raw = bytes.fromhex(line)
-                except ValueError:
-                    raise CliError(f"{path}:{lineno}: bad hex", EXIT_FILE)
-                samples.append(
-                    attacks.KpaSample(
-                        plaintext=tuple(raw[:4]), ciphertext=tuple(raw[4:])
-                    )
-                )
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_FILE)
+    with open(path, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if len(line) != 16 or not set(line) <= set(string.hexdigits):
+                raise CliError(f"{path}:{lineno}: want 16 hex digits per pair", EXIT_FILE)
+            raw = bytes.fromhex(line)
+            samples.append(
+                attacks.KpaSample(plaintext=tuple(raw[:4]), ciphertext=tuple(raw[4:]))
+            )
     if not samples:
         raise CliError(f"{path}: no sample pairs", EXIT_FILE)
     return samples
@@ -304,12 +261,9 @@ def cmd_attack(args) -> int:
         return 0 if outcome.status is attacks.AttackStatus.UNIQUE else EXIT_ATTACK
 
     if args.attack == "brute-hill":
-        plain = _load_image(_require_arg(args, "in", "--in"))
-        cipher = _load_image(_require_arg(args, "enc", "--enc"))
-        try:
-            mask = attacks.KeyMask.parse(args.mask)
-        except ValueError as exc:
-            raise CliError(f"bad mask: {exc}", EXIT_KEY)
+        plain = imagekit.load_pgm(_require_arg(args, "in", "--in"))
+        cipher = imagekit.load_pgm(_require_arg(args, "enc", "--enc"))
+        mask = _parse_key(attacks.KeyMask.parse, args.mask, "mask")
         outcome = attacks.brute_force_hill(
             plain, cipher, mask, allow_full_search=args.full
         )
@@ -317,7 +271,7 @@ def cmd_attack(args) -> int:
         return 0
 
     if args.attack == "brute-dwc":
-        cipher = _load_image(_require_arg(args, "enc", "--enc"))
+        cipher = imagekit.load_pgm(_require_arg(args, "enc", "--enc"))
         start = time.perf_counter()
         ranking = attacks.brute_force_dwc(cipher)
         _emit(
@@ -333,11 +287,11 @@ def cmd_attack(args) -> int:
         return 0
 
     if args.attack == "dwc-partial":
-        cipher = _load_image(_require_arg(args, "enc", "--enc"))
+        cipher = imagekit.load_pgm(_require_arg(args, "enc", "--enc"))
         start = time.perf_counter()
         recovered, mask = attacks.dwc_partial_recover(cipher)
         if args.out:
-            _save_image(recovered, args.out)
+            imagekit.save_pgm(recovered, args.out)
         print(
             json.dumps(
                 {
@@ -352,14 +306,14 @@ def cmd_attack(args) -> int:
         return 0
 
     if args.attack == "ecb-scan":
-        cipher = _load_image(_require_arg(args, "enc", "--enc"))
+        cipher = imagekit.load_pgm(_require_arg(args, "enc", "--enc"))
         _emit(attacks.ecb_repeat_detector(cipher).to_json_dict(), args)
         return 0
 
     # fixed-points
     if not 0 <= args.samples <= MAX_SAMPLES:
         raise CliError(f"--samples must be in [0, 2^20], got {args.samples}", EXIT_USAGE)
-    key = _parse_hill_key(_require_arg(args, "key", "--key"))
+    key = _parse_key(ecchc.HillKey.from_hex, _require_arg(args, "key", "--key"), "hill key")
     census = attacks.fixed_point_census(key, sample_count=args.samples, seed=args.seed)
     _emit(
         {
@@ -377,11 +331,16 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one JSON line, then exits 2 as argparse does."""
+
+    def error(self, message):
+        raise SystemExit(_report_error(f"{self.prog}: {message}", EXIT_USAGE))
+
+
 @functools.cache  # one parser per process: parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cipher-autopsy", description=__doc__.splitlines()[0]
-    )
+    parser = _Parser(prog="cipher-autopsy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="two-party curve key agreement")
@@ -389,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_keygen)
 
-    for name, fn in (("encrypt", cmd_encrypt), ("decrypt", cmd_decrypt)):
+    for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} a PGM image")
         p.add_argument("--alg", choices=("ecchc", "dwc"), required=True)
         p.add_argument("--key", required=True, help="8 hex digits (ecchc) or 2 (dwc)")
         p.add_argument("--in", required=True)
         p.add_argument("--out", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_cipher, forward=name == "encrypt")
 
     p = sub.add_parser("metrics", help="entropy/PSNR/UACI of an image pair")
     p.add_argument("--in", required=True, help="original image")
@@ -447,12 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Library errors that commands let through, and the exit code of each.
-LIBRARY_ERRORS = {
+# Library exceptions and their exit codes.  main() takes the code of the
+# first class in the exception's MRO found here, so FileNotFoundError and
+# TruncatedDataError map through OSError and PgmError, and every other
+# ValueError is an option value the library rejected.
+EXIT_CODES = {
+    OSError: EXIT_FILE,
+    UnicodeError: EXIT_FILE,
+    imagekit.PgmError: EXIT_FILE,
     imagekit.BadDimensionsError: EXIT_FILE,
+    imagekit.BadCellSizeError: EXIT_FILE,
     metrics.DimensionMismatchError: EXIT_FILE,
     attacks.KeyNotFoundError: EXIT_ATTACK,
     attacks.SearchRefusedError: EXIT_ATTACK,
+    ecgroup.DegenerateSharedPointError: EXIT_CURVE,
+    ecgroup.DegenerateDerivedPointError: EXIT_CURVE,
+    ValueError: EXIT_USAGE,
 }
 
 
@@ -460,15 +429,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except tuple(LIBRARY_ERRORS) as exc:
-        error = CliError(str(exc), LIBRARY_ERRORS[type(exc)])
     except CliError as exc:
-        error = exc
-    print(
-        json.dumps({"error": "CliError", "message": str(error), "code": error.code}),
-        file=sys.stderr,
-    )
-    return error.code
+        return _report_error(str(exc), exc.code)
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+        return _report_error(str(exc), code)
 
 
 def run() -> None:

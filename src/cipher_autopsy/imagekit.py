@@ -207,8 +207,13 @@ def write_pgm(img: GrayImage) -> bytes:
 
 
 def load_pgm(path) -> GrayImage:
+    """read_pgm of a file; a PgmError's message starts with the path."""
     with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+        data = fh.read()
+    try:
+        return read_pgm(data)
+    except PgmError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_pgm(img: GrayImage, path) -> None:
@@ -259,7 +264,11 @@ def gen_drawing(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage
 
     Mimics the uniform-color-area images that defeat codebook-style
     encryption; the background dominates (well over 90% of pixels).
+    Both sides must be at least 18 pixels (the ellipse radius ranges are
+    empty below that); smaller sizes raise ValueError before any draw.
     """
+    if width < 18 or height < 18:
+        raise ValueError(f"drawing needs at least 18x18 pixels, got {width}x{height}")
     rng = np.random.default_rng(seed)
     canvas = np.full((height, width), 255, dtype=np.uint8)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cipher_autopsy import cli
+from cipher_autopsy.attacks import KeyNotFoundError
 from cipher_autopsy.dwc import dwc_encrypt
+from cipher_autopsy.ecgroup import DegenerateDerivedPointError
 from cipher_autopsy.ecchc import ecchc_encrypt, encrypt_block, expand_key
 from cipher_autopsy.imagekit import (
     blocks_of,
@@ -14,6 +16,7 @@ from cipher_autopsy.imagekit import (
     gen_photo,
     load_pgm,
     save_pgm,
+    TruncatedDataError,
 )
 
 
@@ -87,7 +90,7 @@ def test_encrypt_bad_key_exit_code(tmp_path, capsys):
 def test_missing_input_exit_code(tmp_path, capsys):
     code = run_cli("encrypt", "--alg", "dwc", "--key", "00", "--in", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.pgm"))
     assert code == cli.EXIT_FILE
-    capsys.readouterr()
+    assert str(tmp_path / "nope.pgm") in one_error_line(capsys, cli.EXIT_FILE)
 
 
 def test_usage_error_is_exit_2():
@@ -325,3 +328,173 @@ def test_attack_missing_argument_is_clean_error(capsys):
     assert code == cli.EXIT_FILE
     err = json.loads(capsys.readouterr().err)
     assert "--key" in err["message"]
+
+
+# --- the error contract: one JSON line, one table of exit codes ------------------
+
+
+def one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err == {"error": "CliError", "message": err["message"], "code": code}
+    return err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "--in", "{img}", "--enc", "{img}"],
+        ["keygen", "--seed", "3"],
+        ["report", "--seed", "1"],
+        ["attack", "kpa", "--in", "{kpa}"],
+        ["attack", "ecb-scan", "--enc", "{img}"],
+        ["attack", "brute-dwc", "--enc", "{img}"],
+        ["attack", "brute-hill", "--in", "{img}", "--enc", "{img}", "--mask", "00??00??"],
+        ["attack", "fixed-points", "--key", "00000000", "--samples", "4"],
+        ["attack", "dwc-partial", "--enc", "{img}"],
+        ["gen", "noise"],
+        ["encrypt", "--alg", "dwc", "--key", "00", "--in", "{img}"],
+    ],
+)
+@pytest.mark.parametrize("out", ["{dir}/missing/x", "{dir}"])
+def test_unwritable_out_is_exit_3(tmp_path, capsys, monkeypatch, argv, out):
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    paths = {"dir": tmp_path, "img": tmp_path / "a.pgm", "kpa": tmp_path / "pairs.txt"}
+    save_pgm(gen_checkerboard(4, 8, 8), paths["img"])  # every Hill key fits it
+    paths["kpa"].write_text("0011223344556677\n")
+    out = out.format(**paths)
+    code = run_cli(*(arg.format(**paths) for arg in argv), "--out", out)
+    assert code == cli.EXIT_FILE
+    captured = capsys.readouterr()
+    # dwc-partial prints its summary after writing the recovered image
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["code"] == cli.EXIT_FILE and out in err["message"]
+
+
+def test_kpa_file_that_is_not_utf8_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    path.write_bytes(b"0011223344556677\n\xff\xfe\x00\x9c\n")
+    assert run_cli("attack", "kpa", "--in", str(path)) == cli.EXIT_FILE
+    assert one_error_line(capsys, cli.EXIT_FILE).startswith(f"{path}:2:")
+
+
+def test_kpa_line_that_decodes_short_is_exit_3(tmp_path, capsys):
+    # 16 characters, but the inner spaces leave 7 bytes: not a sample pair
+    path = tmp_path / "pairs.txt"
+    path.write_text("0011 2233 445566\n")
+    assert run_cli("attack", "kpa", "--in", str(path)) == cli.EXIT_FILE
+    assert one_error_line(capsys, cli.EXIT_FILE).startswith(f"{path}:1:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--seed", "-1"],
+        ["attack", "fixed-points", "--key", "00000000", "--seed", "-1"],
+        ["gen", "noise", "--seed", "-1", "--out", "{out}"],
+        ["gen", "constant", "--value", "256", "--out", "{out}"],
+    ],
+)
+def test_option_value_the_library_rejects_is_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    out = tmp_path / "o.pgm"
+    assert run_cli(*(arg.format(out=out) for arg in argv)) == cli.EXIT_USAGE
+    one_error_line(capsys, cli.EXIT_USAGE)
+    assert not out.exists()
+
+
+def test_keygen_accepts_a_negative_seed(capsys):
+    # splitmix64 takes any integer; only numpy's generators reject negatives
+    code, doc = run_json(capsys, "keygen", "--seed", "-1")
+    assert code == 0 and doc["km_self_inverse"] is True
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P5\n4 4\n255\n" + bytes(7), b"P5\n4 4\n16\n" + bytes(16), b"P7\n", b""],
+)
+def test_malformed_pgm_error_names_the_file(tmp_path, capsys, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    assert run_cli("attack", "ecb-scan", "--enc", str(path)) == cli.EXIT_FILE
+    assert one_error_line(capsys, cli.EXIT_FILE).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encrypt", "--alg", "nope"],
+        [],
+        ["report", "--seed", "x"],
+        ["attack", "brute-dwc", "--bogus"],
+        ["gen", "square", "--out", "x.pgm"],
+    ],
+)
+def test_usage_error_is_one_json_line_and_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert one_error_line(capsys, cli.EXIT_USAGE).startswith("cipher-autopsy")
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (FileNotFoundError(2, "No such file or directory", "x.pgm"), 3),
+        (UnicodeEncodeError("utf-8", "\udcff", 0, 1, "surrogates not allowed"), 3),
+        (TruncatedDataError("expected 16 pixels, got 3"), 3),
+        (KeyNotFoundError("no key matches the image pair"), 5),
+        (DegenerateDerivedPointError("shared point is the identity"), 6),
+        (ValueError("expected non-negative integer"), 2),
+    ],
+)
+def test_library_exception_takes_the_code_of_its_nearest_listed_class(
+    tmp_path, capsys, monkeypatch, exc, code
+):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.attacks, "brute_force_dwc", fail)
+    enc = tmp_path / "c.pgm"
+    save_pgm(gen_constant(0, 4, 4), enc)
+    assert run_cli("attack", "brute-dwc", "--enc", str(enc)) == code
+    assert one_error_line(capsys, code) == str(exc)
+
+
+def test_exception_outside_the_table_is_not_turned_into_an_exit_code(tmp_path, monkeypatch):
+    # a programming error stays a traceback instead of posing as a usage error
+    def fail(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli.attacks, "brute_force_dwc", fail)
+    enc = tmp_path / "c.pgm"
+    save_pgm(gen_constant(0, 4, 4), enc)
+    with pytest.raises(TypeError, match="bug"):
+        run_cli("attack", "brute-dwc", "--enc", str(enc))
+
+
+def test_report_skips_what_a_cipher_rejects(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    assert run_cli("report", "--seed", "2", "--format", "csv") == 0
+    generated = capsys.readouterr().out.splitlines()
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "wide.pgm").write_bytes(b"P5\n5 4\n255\n" + bytes(range(20)))
+    (fixtures / "tiny.pgm").write_bytes(b"P5\n3 3\n255\n" + bytes(9))
+    monkeypatch.setenv(cli.FIXTURES_ENV, str(fixtures))
+    assert run_cli("report", "--seed", "2", "--format", "csv") == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    extra = [line for line in lines if line not in generated]
+    assert [line.split(",")[:2] for line in extra] == [["dwc", "wide"]]
+    assert [line for line in lines if line in generated] == generated
+    warnings = [json.loads(line)["warning"] for line in captured.err.splitlines()]
+    assert sorted(w.split(" (")[0] for w in warnings) == [
+        "tiny: skipped for dwc",
+        "tiny: skipped for ecchc",
+        "wide: skipped for ecchc",
+    ]

@@ -173,6 +173,28 @@ def test_noise_determinism_and_entropy():
     assert entropy(gen_noise(9)) >= 7.99
 
 
+@pytest.mark.parametrize("width,height", [(17, 18), (18, 17), (12, 12)])
+def test_drawing_below_18_pixels_is_rejected_before_drawing(width, height):
+    # seed -1 would make numpy's generator raise; the size check comes first
+    with pytest.raises(ValueError, match="at least 18x18") as exc:
+        gen_drawing(-1, width, height)
+    assert f"{width}x{height}" in str(exc.value)
+
+
+def test_drawing_at_18_pixels():
+    img = gen_drawing(5, 18, 18)
+    assert (img.width, img.height) == (18, 18)
+    assert img == gen_drawing(5, 18, 18)
+
+
+def test_load_pgm_error_starts_with_the_path(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+    with pytest.raises(TruncatedDataError, match="expected 16 pixels, got 3") as exc:
+        load_pgm(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_drawing_regime():
     for seed in range(4):
         img = gen_drawing(seed)
