@@ -321,13 +321,11 @@ def gen_photo(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage:
     # Amplitudes picked so the value spread around mid-gray lands in the
     # same UACI-against-noise regime as the usual photographic test images
     # (about 28%), while neighboring pixels stay within a few gray levels.
-    base = (
-        128.0
-        + 85.0
-        * np.sin(2 * np.pi * xx / width + phase_x)
-        * np.cos(2 * np.pi * yy / height + phase_y)
-        + 44.0 * (xx / width - 0.5)
-        + 30.0 * (yy / height - 0.5)
-    )
-    noise = rng.normal(0.0, 9.0, size=(height, width))
-    return GrayImage(np.clip(base + noise, 0, 255).astype(np.uint8))
+    # One grid, summed in place in the order 128 + shading + ramps + noise.
+    shading_x = 85.0 * np.sin(2 * np.pi * xx / width + phase_x)
+    base = shading_x * np.cos(2 * np.pi * yy / height + phase_y)
+    base += 128.0
+    base += 44.0 * (xx / width - 0.5)
+    base += 30.0 * (yy / height - 0.5)
+    base += rng.normal(0.0, 9.0, size=(height, width))
+    return GrayImage(np.clip(base, 0, 255, out=base).astype(np.uint8))

@@ -2,13 +2,12 @@
 closed-form expectations for the two calibration cases (black vs noise,
 noise vs noise).
 
-Every pair metric comes from one joint histogram h[x, y] of the two
-images (one bincount over (x << 8) | y): the MSE numerator is the dot
-product of h with (x - y)^2, the UACI numerator its dot product with
-|x - y|, and the transformed image's histogram is the column sums.  All
-sums run in exact integer arithmetic; floating point enters only at the
-final division or logarithm, so the numbers are bit-stable across
-platforms.
+Every metric comes from one pass over the pixels, one chunk at a time:
+the transformed image's 256-bin histogram gives the entropy, and the
+exact integer sums of |x - y| and (x - y)^2 give the UACI and MSE
+numerators.  No temporary outgrows a chunk, and floating point enters
+only at the final division or logarithm, so the numbers are bit-stable
+across platforms.
 """
 
 from __future__ import annotations
@@ -47,18 +46,23 @@ class MetricsReport:
         }
 
 
-def _check_pair(a: GrayImage, b: GrayImage) -> None:
-    if a.pixels.shape != b.pixels.shape:
-        raise DimensionMismatchError(
-            f"{a.width}x{a.height} vs {b.width}x{b.height}"
-        )
+# Pixels per chunk: its 256 KiB intp bincount copy, not the image, bounds a call's temporaries.
+_CHUNK = 1 << 15
 
 
-# |x - y| for every byte pair, indexed like the joint histogram.
-_ABS_DIFF = np.abs(np.subtract.outer(np.arange(256), np.arange(256))).astype(np.uint8)
-
-# Pixels per bincount: the index temporaries of one chunk stay in cache.
-_CHUNK = 1 << 18
+def _tally(b: GrayImage, a: GrayImage | None = None) -> tuple[np.ndarray, int, int]:
+    """The 256-bin histogram of b and, given a, the exact sums of |a - b|
+    and (a - b)^2 (both 0 without a)."""
+    y, x = b.pixels.ravel(), None if a is None else a.pixels.ravel()
+    hist, abs_sum, sq_sum = np.zeros(256, dtype=np.int64), 0, 0
+    for s in range(0, y.size, _CHUNK):
+        hist += np.bincount(y[s : s + _CHUNK], minlength=256)
+        if x is not None:
+            d = x[s : s + _CHUNK].astype(np.int16) - y[s : s + _CHUNK]
+            d = np.abs(d, out=d).view(np.uint16)  # at most 255, so d * d fits in uint16
+            abs_sum += int(d.sum(dtype=np.uint64))
+            sq_sum += int(np.multiply(d, d, out=d).sum(dtype=np.uint64))
+    return hist, abs_sum, sq_sum
 
 
 def _entropy_bits(counts: np.ndarray, size: int) -> float:
@@ -67,21 +71,15 @@ def _entropy_bits(counts: np.ndarray, size: int) -> float:
 
 
 def _pair_report(a: GrayImage, b: GrayImage) -> MetricsReport:
-    """Every metric of the pair from its joint histogram h[x, y], the
-    number of positions where a is x and b is y."""
-    _check_pair(a, b)
-    x, y = a.pixels.ravel(), b.pixels.ravel()
-    h = np.zeros(65536, dtype=np.int64)
-    for s in range(0, x.size, _CHUNK):
-        idx = (x[s : s + _CHUNK].astype(np.uint16) << 8) | y[s : s + _CHUNK]
-        h += np.bincount(idx, minlength=65536)
-    h = h.reshape(256, 256)
-    d = _ABS_DIFF.astype(np.int64)
-    m = int(np.vdot(h, d * d)) / a.size
+    """Every metric of the pair from the histogram of b and the sums of a - b."""
+    if a.pixels.shape != b.pixels.shape:
+        raise DimensionMismatchError(f"{a.width}x{a.height} vs {b.width}x{b.height}")
+    hist, abs_sum, sq_sum = _tally(b, a)
+    m = sq_sum / a.size
     return MetricsReport(
-        entropy_bits=_entropy_bits(h.sum(axis=0), b.size),
+        entropy_bits=_entropy_bits(hist, b.size),
         psnr_db=math.inf if m == 0 else 20 * math.log10(255) - 10 * math.log10(m),
-        uaci_percent=int(np.vdot(h, d)) / (a.size * 255) * 100.0,
+        uaci_percent=abs_sum / (a.size * 255) * 100.0,
         mse=m,
     )
 
@@ -90,7 +88,7 @@ def entropy(img: GrayImage) -> float:
     """Shannon entropy of the 256-bin pixel histogram, in bits."""
     if img.size == 0:
         raise EmptyImageError("entropy of an empty image is undefined")
-    return _entropy_bits(np.bincount(img.pixels.ravel(), minlength=256), img.size)
+    return _entropy_bits(_tally(img)[0], img.size)
 
 
 def mse(a: GrayImage, b: GrayImage) -> float:
@@ -111,7 +109,7 @@ def uaci(a: GrayImage, b: GrayImage) -> float:
 def evaluate_pair(plain: GrayImage, transformed: GrayImage) -> MetricsReport:
     """The comparison-table row for one (plaintext, ciphertext) pair:
     entropy of the transformed image, PSNR/UACI/MSE of the pair, all from
-    one joint histogram of the two images."""
+    one chunked pass over the two images."""
     if transformed.size == 0:
         raise EmptyImageError("entropy of an empty image is undefined")
     return _pair_report(plain, transformed)

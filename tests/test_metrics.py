@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,3 +123,23 @@ def test_evaluate_pair_and_serialization():
     d2 = report2.to_json_dict()
     assert d2["psnr"] == round(report2.psnr_db, 4)
     assert 0 <= report2.entropy_bits <= 8
+
+
+@pytest.mark.parametrize("side", [256, 2048])
+def test_pair_temporaries_are_bounded_by_the_chunk_not_the_image(side):
+    rng = np.random.default_rng(side)
+    a = GrayImage(rng.integers(0, 256, (side, side), dtype=np.uint8))
+    b = GrayImage(rng.integers(0, 256, (side, side), dtype=np.uint8))
+    evaluate_pair(a, b)  # warm: any lazy set-up is not a per-call temporary
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_pair(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 512 * 1024

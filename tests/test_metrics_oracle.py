@@ -1,4 +1,4 @@
-"""Differential test: the joint-histogram metrics against the direct
+"""Differential test: the chunked one-pass metrics against the direct
 int64 formulas (one difference array per metric), kept here as the oracle."""
 
 import math
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cipher_autopsy.imagekit import GrayImage
 from cipher_autopsy.metrics import (
+    _CHUNK,
     DimensionMismatchError,
     EmptyImageError,
     MetricsReport,
@@ -164,3 +165,23 @@ def test_image_spanning_several_histogram_chunks_matches_oracle():
     a = GrayImage(rng.integers(0, 256, (600, 601), dtype=np.uint8))
     b = GrayImage(rng.integers(0, 256, (600, 601), dtype=np.uint8))
     assert evaluate_pair(a, b) == _oracle_report(a, b)
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_pixel_counts_at_the_chunk_edge_match_oracle(n):
+    rng = np.random.default_rng(n)
+    a = GrayImage(rng.integers(0, 256, (1, n), dtype=np.uint8))
+    b = GrayImage(rng.integers(0, 256, (1, n), dtype=np.uint8))
+    assert evaluate_pair(a, b) == _oracle_report(a, b)
+    assert _same(entropy(b), _oracle_entropy(b))
+
+
+def test_extreme_multi_chunk_pair_matches_oracle_in_both_orders():
+    # 300 x 301 pixels, three chunks: every difference is -255 one way
+    # round and +255 the other, the largest |a - b| and (a - b)^2
+    black = GrayImage(np.zeros((300, 301), dtype=np.uint8))
+    white = GrayImage(np.full((300, 301), 255, dtype=np.uint8))
+    for a, b in ((black, white), (white, black)):
+        assert evaluate_pair(a, b) == _oracle_report(a, b)
+        assert evaluate_pair(a, b).uaci_percent == 100.0
+        assert _same(entropy(b), _oracle_entropy(b))
