@@ -120,11 +120,18 @@ def mat4_mul_mod256(x: Mat4, y: Mat4) -> Mat4:
 
 
 # 2-adic valuation of every byte; 0 counts as 8 (a multiple of 2^8 = 256).
-_VAL = np.array([8] + [(i & -i).bit_length() - 1 for i in range(1, 256)])
+_VAL = np.array([8] + [(i & -i).bit_length() - 1 for i in range(1, 256)], dtype=np.uint8)
+
+
+def bytes_mod256(x) -> np.ndarray:
+    """x reduced mod 256 as a uint8 array; a uint8 array passes through uncopied."""
+    x = np.asarray(x)
+    return x if x.dtype == np.uint8 else (np.asarray(x, dtype=np.int64) % 256).astype(np.uint8)
 
 
 def _eliminate(col: np.ndarray, rest: list[np.ndarray]):
-    """Clear `col` from every row with the row of least 2-adic valuation v.
+    """Clear `col` from every row with the row of least 2-adic valuation v,
+    in wrapping uint8 arithmetic, which is arithmetic mod 256.
 
     Returns v, the pivot row's `rest` entries scaled so its `col` entry is
     exactly 2^v, and the `rest` columns of the cleared rows plus the Howell
@@ -132,49 +139,55 @@ def _eliminate(col: np.ndarray, rest: list[np.ndarray]):
     the pivot equation 2^v * x = rhs is solvable for x.  v == 8 means the
     column is already zero: there is no pivot and the pivot row is zero.
     """
-    vals = _VAL[col]
-    v = int(vals.min(initial=8))
+    v = int(_VAL[np.bitwise_or.reduce(col)])  # the least valuation is the OR's
     if v == 8:
         return 8, [0] * len(rest), rest
-    p = int(vals.argmin())
+    p = int(np.argmax(col & (1 << v)))  # the first row of valuation exactly v
     unit_inv = mod256_inv(int(col[p]) >> v)
     pivot = [unit_inv * int(r[p]) % 256 for r in rest]
     f = col >> v
-    cleared = [
-        np.append((r - f * q) % 256, (q << (8 - v)) % 256) for r, q in zip(rest, pivot)
-    ]
+    cleared = [np.append(r - f * q, np.uint8(q << (8 - v) & 255)) for r, q in zip(rest, pivot)]
     return v, pivot, cleared
 
 
-def _coset(v: int, rhs) -> np.ndarray:
-    """Every x with 2^v * x = rhs (mod 256), given that 2^v divides rhs.
-
-    `rhs` may be an array; the result then has one row per entry.
-    """
-    return (np.asarray(rhs)[..., None] >> v) + (np.arange(1 << v) << (8 - v))
-
-
-def solve_rows_mod256(a, b, t) -> np.ndarray:
-    """Every (x, y) with a[i]*x + b[i]*y = t[i] (mod 256) for all rows i.
+def row_coset(a: np.ndarray, b: np.ndarray, t: np.ndarray):
+    """The (x, y) with a[i]*x + b[i]*y = t[i] (mod 256) for all rows i, in
+    closed form; a, b and t are uint8 arrays.
 
     One elimination pass per unknown (Howell, "Spans in the module
     (Z_m)^s", 1986): pivot on the row of least 2-adic valuation, clear the
     column, and carry the Howell row into the next column.  What is left
     is 2^vx * x + bx * y = tx and 2^vy * y = ty plus rows that must read
-    0 = 0, so the solutions form a coset of 2^(vx + vy) <= 2^16 pairs.
-
-    Returns an (m, 2) int64 array in ascending (x, y) order, m = 0 when the
-    rows are inconsistent.
+    0 = 0.  Returns (vx, bx, tx, vy, ty), a coset of 2^(vx + vy) <= 2^16
+    pairs, or None when the rows are inconsistent.
     """
-    a, b, t = (np.asarray(r, dtype=np.int64) % 256 for r in (a, b, t))
     vx, (bx, tx), (b, t) = _eliminate(a, [b, t])
     vy, (ty,), (t,) = _eliminate(b, [t])
-    if t.any():
+    return None if t.any() else (vx, bx, tx, vy, ty)
+
+
+def coset_pairs(coset, per_y: int = 256) -> np.ndarray:
+    """The pairs of a row_coset in ascending (x, y) order, as an (m, 2)
+    int64 array: every pair, or only the `per_y` smallest x for each y.
+
+    Each y = ty/2^vy + j * 2^(8 - vy) has 2^vx solutions x = x0(y) + k *
+    2^(8 - vx), so with per_y=2 the first two rows are the coset's two
+    smallest pairs.
+    """
+    if coset is None:
         return np.empty((0, 2), dtype=np.int64)
-    ys = _coset(vy, ty)
-    xs = _coset(vx, (tx - bx * ys) % 256)
+    vx, bx, tx, vy, ty = coset
+    ys = (ty >> vy) + (np.arange(1 << vy) << (8 - vy))
+    xs = ((tx - bx * ys) % 256 >> vx)[:, None] + (np.arange(min(1 << vx, per_y)) << (8 - vx))
     codes = np.sort((xs * 256 + ys[:, None]).ravel())
     return np.stack([codes >> 8, codes & 0xFF], axis=1)
+
+
+def solve_rows_mod256(a, b, t) -> np.ndarray:
+    """Every (x, y) with a[i]*x + b[i]*y = t[i] (mod 256) for all rows i,
+    as an ascending (m, 2) int64 array, m = 0 when the rows are inconsistent.
+    """
+    return coset_pairs(row_coset(*(bytes_mod256(r) for r in (a, b, t))))
 
 
 def solve_k_rows_mod256(
@@ -182,17 +195,16 @@ def solve_k_rows_mod256(
 ) -> tuple[int, int]:
     """Solve k*a + l*b = rhs  (mod 256) for the unknown pair (k, l).
 
-    Each equation is an (a, b, rhs) triple; solve_rows_mod256 finds every
+    Each equation is an (a, b, rhs) triple; row_coset finds every
     solution.  Raises UnderdeterminedError when two or more pairs fit and
     InconsistentError when none does.
     """
     if len(equations) < 2:
         raise ValueError("need at least two equations")
-    solutions = solve_rows_mod256(*zip(*equations))
-    if len(solutions) == 0:
+    coset = row_coset(*(bytes_mod256(col) for col in zip(*equations)))
+    if coset is None:
         raise InconsistentError("equations admit no common solution mod 256")
-    if len(solutions) > 1:
-        raise UnderdeterminedError(
-            f"{len(solutions)} solutions fit the equations mod 256"
-        )
-    return int(solutions[0, 0]), int(solutions[0, 1])
+    count = 2 ** (coset[0] + coset[3])
+    if count > 1:
+        raise UnderdeterminedError(f"{count} solutions fit the equations mod 256")
+    return tuple(coset_pairs(coset)[0].tolist())

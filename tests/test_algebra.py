@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cipher_autopsy.algebra import (
@@ -10,12 +10,14 @@ from cipher_autopsy.algebra import (
     InconsistentError,
     UnderdeterminedError,
     ZeroInverseError,
+    coset_pairs,
     gf_add,
     gf_inv,
     gf_mul,
     mat4_mul_mod256,
     mat4_vec_mod256,
     mod256_inv,
+    row_coset,
     solve_k_rows_mod256,
     solve_rows_mod256,
 )
@@ -293,3 +295,34 @@ def test_row_solver_matches_exhaustive_search(rows, planted, targets):
     solutions = solve_rows_mod256(a, b, t)
     assert np.array_equal(solutions, _oracle_rows(a, b, t))
     assert len(solutions) in {0} | {2**k for k in range(17)}
+
+
+even = st.integers(0, 127).map(lambda v: 2 * v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(coef, coef), max_size=5) | st.lists(st.tuples(even, even), max_size=5),
+    planted=st.one_of(st.none(), st.tuples(byte, byte)),
+    targets=st.lists(coef, min_size=5, max_size=5),
+)
+@example(rows=[], planted=None, targets=[0] * 5)  # every pair fits
+@example(rows=[(2, 4), (6, 0)], planted=None, targets=[1] * 5)  # 2x + 4y = 1: none fits
+@example(rows=[(0, 0)], planted=None, targets=[3] * 5)  # 0 = 3: none fits
+@example(rows=[(2, 0), (0, 2)], planted=(3, 5), targets=[0] * 5)  # 4 pairs fit
+@example(rows=[(128, 64), (0, 128)], planted=(255, 1), targets=[0] * 5)
+def test_row_coset_count_and_two_smallest_pairs_match_exhaustive_search(rows, planted, targets):
+    a = [r[0] for r in rows]
+    b = [r[1] for r in rows]
+    if planted is None:
+        t = targets[: len(rows)]
+    else:
+        t = [(ai * planted[0] + bi * planted[1]) % 256 for ai, bi in rows]
+    expected = _oracle_rows(a, b, t)
+    coset = row_coset(*(np.array(col, dtype=np.uint8) for col in (a, b, t)))
+    if len(expected) == 0:
+        assert coset is None
+        return
+    vx, _, _, vy, _ = coset
+    assert 2 ** (vx + vy) == len(expected)
+    assert np.array_equal(coset_pairs(coset, 2)[:2], expected[:2])

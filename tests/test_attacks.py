@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipher_autopsy.algebra import solve_k_rows_mod256, solve_rows_mod256
 from cipher_autopsy.attacks import (
     AttackStatus,
     KeyMask,
@@ -147,6 +150,27 @@ def test_kpa_even_coefficient_with_odd_target_is_inconsistent():
     assert kpa_recover_hill_key(samples).status is AttackStatus.INCONSISTENT
 
 
+def test_out_of_range_inputs_are_read_mod_256():
+    # values outside 0..255 are reduced mod 256, never cast to uint8 (an
+    # out-of-range Python int would raise OverflowError) or rejected
+    key = expand_key(((3, 250), (128, 7)))
+    samples = [
+        KpaSample((-511, -254, 0, 256), (247, -114, 248, -112)),
+        KpaSample((-512, -255, 0, 256), (250, -249, 250, -248)),
+    ]
+    assert [encrypt_block(key, tuple(v % 256 for v in s.plaintext)) for s in samples] == [
+        tuple(v % 256 for v in s.ciphertext) for s in samples
+    ]
+    assert kpa_recover_hill_key(samples).recovered_key == "03fa8007"
+    one = [KpaSample((256, -1, 0, 0), (256, -256, -512, -1))]  # (0, 255, 0, 0) under K = 0
+    assert kpa_recover_hill_key(one).status is AttackStatus.AMBIGUOUS
+    one = [KpaSample((256, -1, 0, 0), (-256, 511, 0, -1))]  # c_bot - c_top != d
+    assert kpa_recover_hill_key(one).status is AttackStatus.INCONSISTENT
+    rows = solve_rows_mod256([257, -1, 512], [-255, 3, 2], [300, -44, -1024])
+    assert rows.tolist() == [[44, 0], [172, 128]]
+    assert solve_k_rows_mod256([(257, -256, 635), (-256, -255, -211)]) == (123, 45)
+
+
 def test_kpa_requires_input():
     with pytest.raises(ValueError):
         kpa_recover_hill_key([])
@@ -180,6 +204,32 @@ def test_kpa_ambiguous_exactly_when_no_odd_determinant_pair():
     # two random blocks are solvable only ~3/8 of the time; ten blocks
     # (the usual attack input) push the failure rate below 1%
     assert 0.5 < ambiguous / trials < 0.75
+
+
+@pytest.mark.parametrize("board", [False, True])
+def test_hill_search_temporaries_are_bounded(board):
+    # no int64 copy of the blocks and no 2^16-pair solution set: one 256x256
+    # search allocates a few uint8 columns (2,819 KiB when it did both)
+    if board:
+        plain = cipher = gen_checkerboard()
+        mask = KeyMask.parse("01??02??")  # ambiguous: the board fits many keys
+    else:
+        plain = gen_photo(3)
+        cipher = ecchc_encrypt(plain, expand_key(((0x1A, 0x2B), (0x3C, 0x4D))))
+        mask = KeyMask.parse("1a2b????")
+    brute_force_hill(plain, cipher, mask)  # warm
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        brute_force_hill(plain, cipher, mask)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # --- mask parsing -----------------------------------------------------------------
