@@ -20,11 +20,7 @@ def banner(title):
 
 
 def main() -> int:
-    curve = ecgroup.DEFAULT_CURVE
-    alice = ecgroup.keygen(curve, 2024)
-    bob = ecgroup.keygen(curve, 2025)
-    k_i = ecgroup.shared_point(alice.private_n, bob.public_p, curve)
-    hill = ecchc.expand_key(ecgroup.derive_hill_key(k_i, curve))
+    hill = ecchc.expand_key(ecgroup.agree(2024)[3])
     print(f"agreed Hill key (hex): {hill.key_hex}")
 
     photo = imagekit.gen_photo(3)

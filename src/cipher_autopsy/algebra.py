@@ -3,16 +3,14 @@
 Two structures live here and must not be confused:
 
 * GF(2^8), the field with 256 elements under the reduction polynomial
-  x^8 + x^4 + x^3 + x + 1 (0x11B).  Addition is XOR.  The weak cipher's
-  core transform (S-box construction, column-matrix multiply) runs here.
+  x^8 + x^4 + x^3 + x + 1 (0x11B).  Addition is XOR.  The product and
+  inverse tables here give the weak cipher's S-box and column multiply.
 * Z/256, the ring of bytes under ordinary + and * mod 256.  Not a field:
   exactly the odd bytes are units.  The Hill-cipher layer and the
   known-plaintext solver run here.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -26,46 +24,7 @@ Block = tuple[int, int, int, int]
 
 
 class ZeroInverseError(ValueError):
-    """Zero has no multiplicative inverse in GF(2^8)."""
-
-
-class UnderdeterminedError(ValueError):
-    """The equations admit two or more solutions."""
-
-
-class InconsistentError(ValueError):
-    """The equations admit no common solution."""
-
-
-def gf_add(a: int, b: int) -> int:
-    """Field addition: bitwise XOR."""
-    return a ^ b
-
-
-def gf_mul(a: int, b: int) -> int:
-    """Carry-less multiply reduced by x^8 + x^4 + x^3 + x + 1."""
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= GF_POLY
-    return p
-
-
-def gf_inv(a: int) -> int:
-    """Multiplicative inverse of a nonzero field element (a^254)."""
-    if a == 0:
-        raise ZeroInverseError("0 has no inverse in GF(2^8)")
-    result, power, e = 1, a, 254
-    while e:
-        if e & 1:
-            result = gf_mul(result, power)
-        power = gf_mul(power, power)
-        e >>= 1
-    return result
+    """The byte has no multiplicative inverse: an even byte mod 256."""
 
 
 def _gf_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +42,7 @@ def _gf_tables() -> tuple[np.ndarray, np.ndarray]:
     return mul, inv
 
 
-# GF_MUL[a, b] = gf_mul(a, b); GF_INV[a] = gf_inv(a), with 0 mapped to 0.
+# GF_MUL[a, b] is the field product a*b; GF_INV[a] is 1/a, with 0 mapped to 0.
 GF_MUL, GF_INV = _gf_tables()
 GF_MUL.flags.writeable = GF_INV.flags.writeable = False
 
@@ -98,17 +57,6 @@ def mod256_inv(a: int) -> int:
 MAT4_IDENTITY: Mat4 = tuple(
     tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
 )
-
-
-def mat4_vec_mod256(m: Mat4, v: Block) -> Block:
-    """Matrix-vector product over Z/256, reduced after every accumulate."""
-    out = []
-    for row in m:
-        acc = 0
-        for coef, x in zip(row, v):
-            acc = (acc + coef * x) % 256
-        out.append(acc)
-    return (out[0], out[1], out[2], out[3])
 
 
 def mat4_mul_mod256(x: Mat4, y: Mat4) -> Mat4:
@@ -189,22 +137,3 @@ def solve_rows_mod256(a, b, t) -> np.ndarray:
     """
     return coset_pairs(row_coset(*(bytes_mod256(r) for r in (a, b, t))))
 
-
-def solve_k_rows_mod256(
-    equations: Sequence[tuple[int, int, int]],
-) -> tuple[int, int]:
-    """Solve k*a + l*b = rhs  (mod 256) for the unknown pair (k, l).
-
-    Each equation is an (a, b, rhs) triple; row_coset finds every
-    solution.  Raises UnderdeterminedError when two or more pairs fit and
-    InconsistentError when none does.
-    """
-    if len(equations) < 2:
-        raise ValueError("need at least two equations")
-    coset = row_coset(*(bytes_mod256(col) for col in zip(*equations)))
-    if coset is None:
-        raise InconsistentError("equations admit no common solution mod 256")
-    count = 2 ** (coset[0] + coset[3])
-    if count > 1:
-        raise UnderdeterminedError(f"{count} solutions fit the equations mod 256")
-    return tuple(coset_pairs(coset)[0].tolist())

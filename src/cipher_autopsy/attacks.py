@@ -6,6 +6,7 @@ fixed-point census and the duplicate-block (codebook leak) detector.
 
 from __future__ import annotations
 
+import string
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,6 +84,8 @@ class KeyMask:
         slots = []
         for i in range(0, 8, 2):
             chunk = text[i : i + 2]
+            if chunk != "??" and not set(chunk) <= set(string.hexdigits):
+                raise ValueError(f"mask slot {chunk!r} is neither 2 hex digits nor '??'")
             slots.append(None if chunk == "??" else int(chunk, 16))
         return cls(values=(slots[0], slots[1], slots[2], slots[3]))
 

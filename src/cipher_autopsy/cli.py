@@ -69,10 +69,10 @@ def _parse_key(parse, text: str, what: str):
 
 
 def _dwc_byte(text: str) -> int:
-    value = int(text, 16) if len(text.strip()) == 2 else -1
-    if not 0 <= value <= 255:
+    text = text.strip()
+    if len(text) != 2 or not set(text) <= set(string.hexdigits):
         raise ValueError("want 2 hex digits")
-    return value
+    return int(text, 16)
 
 
 def _emit(obj, args) -> None:
@@ -91,15 +91,8 @@ def _emit(obj, args) -> None:
 
 def cmd_keygen(args) -> int:
     curve = ecgroup.DEFAULT_CURVE
-    alice = ecgroup.keygen(curve, args.seed)
-    bob = ecgroup.keygen(curve, args.seed + 1)
-    k_ab = ecgroup.shared_point(alice.private_n, bob.public_p, curve)
-    k_ba = ecgroup.shared_point(bob.private_n, alice.public_p, curve)
-    k_a = ecgroup.derive_hill_key(k_ab, curve)
-    k_b = ecgroup.derive_hill_key(k_ba, curve)
-    if k_ab != k_ba or k_a != k_b:
-        raise CliError("two-party agreement mismatch", EXIT_CURVE)
-    key = ecchc.expand_key(k_a)
+    alice, bob, k_i, k = ecgroup.agree(args.seed)
+    key = ecchc.expand_key(k)
     self_inverse = algebra.mat4_mul_mod256(key.km, key.km) == algebra.MAT4_IDENTITY
     _emit(
         {
@@ -112,7 +105,7 @@ def cmd_keygen(args) -> int:
             },
             "alice": {"private": alice.private_n, "public": [alice.public_p.x, alice.public_p.y]},
             "bob": {"private": bob.private_n, "public": [bob.public_p.x, bob.public_p.y]},
-            "shared_point": [k_ab.x, k_ab.y],
+            "shared_point": [k_i.x, k_i.y],
             "k": [list(row) for row in key.k],
             "km": [list(row) for row in key.km],
             "key_hex": key.key_hex,
@@ -185,11 +178,7 @@ def _report_images(seed: int):
 
 
 def cmd_report(args) -> int:
-    curve = ecgroup.DEFAULT_CURVE
-    alice = ecgroup.keygen(curve, args.seed)
-    bob = ecgroup.keygen(curve, args.seed + 1)
-    k_i = ecgroup.shared_point(alice.private_n, bob.public_p, curve)
-    hill = ecchc.expand_key(ecgroup.derive_hill_key(k_i, curve))
+    hill = ecchc.expand_key(ecgroup.agree(args.seed)[3])
     dwc_key = ecgroup.splitmix64(args.seed) & 0xFF
     ciphers = (("ecchc", ecchc.ecchc_encrypt, hill), ("dwc", dwc.dwc_encrypt, dwc_key))
     rows = []

@@ -25,7 +25,6 @@ cache-sized chunk of blocks at a time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,38 +40,21 @@ MIX_INV_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class SBox:
-    forward: tuple[int, ...]
-    inverse: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ColumnMatrix:
-    m: tuple[tuple[int, ...], ...]
-    m_inv: tuple[tuple[int, ...], ...]
-
-
 def _rotl8(x, n: int):
     return ((x << n) | (x >> (8 - n))) & 0xFF
 
 
-def build_sbox() -> SBox:
-    """Field inversion (0 mapped to 0) followed by the affine bit mix."""
+def build_sbox() -> tuple[np.ndarray, np.ndarray]:
+    """Field inversion (0 mapped to 0) followed by the affine bit mix;
+    returns the forward and inverse S-boxes as uint8 arrays."""
     b = GF_INV
     forward = b ^ _rotl8(b, 1) ^ _rotl8(b, 2) ^ _rotl8(b, 3) ^ _rotl8(b, 4) ^ 0x63
     inverse = np.empty(256, dtype=np.uint8)
     inverse[forward] = np.arange(256)
-    return SBox(forward=tuple(forward.tolist()), inverse=tuple(inverse.tolist()))
+    return forward, inverse
 
 
-def column_matrix() -> ColumnMatrix:
-    return ColumnMatrix(m=MIX_ROWS, m_inv=MIX_INV_ROWS)
-
-
-_SBOX = build_sbox()
-_SB = np.array(_SBOX.forward, dtype=np.uint8)
-_SB_INV = np.array(_SBOX.inverse, dtype=np.uint8)
+_SB, _SB_INV = build_sbox()
 _IDENTITY = np.arange(256, dtype=np.uint8)
 
 

@@ -15,6 +15,7 @@ attack module leans on all three facts.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class HillKey:
     @classmethod
     def from_hex(cls, text: str) -> "HillKey":
         text = text.strip().lower()
-        if len(text) != 8:
+        if len(text) != 8 or not set(text) <= set(string.hexdigits):
             raise ValueError("hill key must be 8 hex digits (k11 k12 k21 k22)")
         vals = [int(text[i : i + 2], 16) for i in range(0, 8, 2)]
         return expand_key(((vals[0], vals[1]), (vals[2], vals[3])))

@@ -79,17 +79,6 @@ class CurveParams:
         ]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "CurveParams":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            name, value = line.split()
-            fields[name] = int(value)
-        return cls(**fields)
-
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -101,12 +90,6 @@ class KeyPair:
 # (a, b) passing all filters.  |E| = 1009 is prime; G is the affine point
 # with the smallest coordinates.
 DEFAULT_CURVE = CurveParams(q=1009, a=1, b=79, gx=1, gy=9, order_p=1009)
-
-
-def point_neg(p: EcPoint, curve: CurveParams) -> EcPoint:
-    if p.is_infinity:
-        return INFINITY
-    return EcPoint(p.x, (-p.y) % curve.q)
 
 
 def point_add(p1: EcPoint, p2: EcPoint, curve: CurveParams) -> EcPoint:
@@ -201,6 +184,20 @@ def derive_hill_key(k_i: EcPoint, curve: CurveParams) -> Mat2:
             "a shared-point coordinate is 0 mod the group order"
         )
     return ((xg.x % 256, xg.y % 256), (yg.x % 256, yg.y % 256))
+
+
+def agree(seed: int) -> tuple[KeyPair, KeyPair, EcPoint, Mat2]:
+    """The two-party agreement on DEFAULT_CURVE: Alice's keypair from
+    seed, Bob's from seed + 1, the shared point, and the Hill matrix
+    derived from it.  Both sides compute the shared point, and a mismatch
+    raises DegenerateSharedPointError."""
+    curve = DEFAULT_CURVE
+    alice = keygen(curve, seed)
+    bob = keygen(curve, seed + 1)
+    k_i = shared_point(alice.private_n, bob.public_p, curve)
+    if k_i != shared_point(bob.private_n, alice.public_p, curve):
+        raise DegenerateSharedPointError("two-party agreement mismatch")
+    return alice, bob, k_i, derive_hill_key(k_i, curve)
 
 
 # ---------------------------------------------------------------------------

@@ -197,15 +197,6 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage.from_bytes(bytes(values), width, height)
 
 
-def _p5_header(img: GrayImage) -> bytes:
-    return f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-
-
-def write_pgm(img: GrayImage) -> bytes:
-    """Emit canonical binary P5: single separators, no comments."""
-    return _p5_header(img) + img.tobytes()
-
-
 def load_pgm(path) -> GrayImage:
     """read_pgm of a file; a PgmError's message starts with the path."""
     with open(path, "rb") as fh:
@@ -217,8 +208,9 @@ def load_pgm(path) -> GrayImage:
 
 
 def save_pgm(img: GrayImage, path) -> None:
-    with open(path, "wb") as fh:  # write_pgm's bytes, without joining a copy
-        fh.write(_p5_header(img))
+    """Write canonical binary P5: single separators, no comments."""
+    with open(path, "wb") as fh:  # header, then the pixel buffer without joining a copy
+        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
         fh.write(img.pixels)
 
 

@@ -7,24 +7,18 @@ from cipher_autopsy.algebra import (
     GF_INV,
     GF_MUL,
     MAT4_IDENTITY,
-    InconsistentError,
-    UnderdeterminedError,
     ZeroInverseError,
     coset_pairs,
-    gf_add,
-    gf_inv,
-    gf_mul,
     mat4_mul_mod256,
-    mat4_vec_mod256,
     mod256_inv,
     row_coset,
-    solve_k_rows_mod256,
     solve_rows_mod256,
 )
+from cipher_autopsy.ecchc import expand_key, hill_apply
 
 byte = st.integers(min_value=0, max_value=255)
 block = st.tuples(byte, byte, byte, byte)
-mat4 = st.tuples(*([block] * 4))
+mat2 = st.tuples(st.tuples(byte, byte), st.tuples(byte, byte))
 
 
 # --- independent GF(2^8) oracles -------------------------------------------
@@ -67,74 +61,61 @@ def _oracle_mul_log(a, b):
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-# --- gf_add -----------------------------------------------------------------
-
-
-def test_gf_add_examples():
-    assert gf_add(0x00, 0x00) == 0x00
-    assert gf_add(0xAB, 0xAB) == 0x00
-    assert gf_add(0x57, 0x83) == 0xD4
-
-
-# --- gf_mul -----------------------------------------------------------------
+# --- GF_MUL -----------------------------------------------------------------
 
 
 def test_gf_mul_identity_and_zero():
     for x in range(256):
-        assert gf_mul(x, 0x01) == x
-        assert gf_mul(x, 0x00) == 0x00
+        assert GF_MUL[x, 0x01] == x
+        assert GF_MUL[x, 0x00] == 0x00
 
 
 def test_gf_mul_known_product():
     assert _oracle_mul_wide(0x57, 0x83) == 0xC1
-    assert gf_mul(0x57, 0x83) == 0xC1
+    assert GF_MUL[0x57, 0x83] == 0xC1
 
 
 def test_gf_mul_exhaustive_against_log_tables():
     for a in range(256):
         for b in range(a, 256):
             expected = _oracle_mul_log(a, b)
-            assert gf_mul(a, b) == expected
-            assert gf_mul(b, a) == expected
+            assert GF_MUL[a, b] == expected
+            assert GF_MUL[b, a] == expected
 
 
 def test_product_and_inverse_tables_match_scalar_arithmetic():
+    # the tables are a log/antilog build; the oracle is the carry-less multiply
     assert GF_MUL.shape == (256, 256) and GF_MUL.dtype == np.uint8
-    assert all(GF_MUL[a, b] == gf_mul(a, b) for a in range(256) for b in range(256))
+    assert all(GF_MUL[a, b] == _oracle_mul_wide(a, b) for a in range(256) for b in range(256))
     assert GF_INV[0] == 0
-    assert all(GF_INV[a] == gf_inv(a) for a in range(1, 256))
+    assert all(_oracle_mul_wide(a, int(GF_INV[a])) == 1 for a in range(1, 256))
 
 
 @settings(max_examples=300)
 @given(a=byte, b=byte, c=byte)
 def test_gf_field_axioms(a, b, c):
-    assert gf_mul(a, gf_mul(b, c)) == gf_mul(gf_mul(a, b), c)
-    assert gf_mul(a, gf_add(b, c)) == gf_add(gf_mul(a, b), gf_mul(a, c))
-    assert gf_mul(a, b) == gf_mul(b, a)
+    assert GF_MUL[a, GF_MUL[b, c]] == GF_MUL[GF_MUL[a, b], c]
+    assert GF_MUL[a, b ^ c] == GF_MUL[a, b] ^ GF_MUL[a, c]
+    assert GF_MUL[a, b] == GF_MUL[b, a]
 
 
-# --- gf_inv -----------------------------------------------------------------
+# --- GF_INV -----------------------------------------------------------------
 
 
 def test_gf_inv_identity():
-    assert gf_inv(0x01) == 0x01
-
-
-def test_gf_inv_zero_rejected():
-    with pytest.raises(ZeroInverseError):
-        gf_inv(0x00)
+    assert GF_INV[0x01] == 0x01
 
 
 def test_gf_inv_0x53():
     # exhaustive-search oracle
     expected = [b for b in range(256) if _oracle_mul_log(0x53, b) == 1]
     assert expected == [0xCA]
-    assert gf_inv(0x53) == 0xCA
+    assert GF_INV[0x53] == 0xCA
 
 
 def test_gf_inv_exhaustive():
     for a in range(1, 256):
-        assert gf_mul(a, gf_inv(a)) == 1
+        assert GF_MUL[a, GF_INV[a]] == 1
 
 
 # --- mod256 units -----------------------------------------------------------
@@ -149,7 +130,7 @@ def test_mod256_units_are_exactly_odd_bytes():
                 mod256_inv(a)
 
 
-# --- mat4_vec_mod256 --------------------------------------------------------
+# --- the Hill layer as a 4x4 matrix-vector product ------------------------------
 
 
 def _oracle_matvec(m, v):
@@ -157,33 +138,21 @@ def _oracle_matvec(m, v):
     return tuple(sum(c * x for c, x in zip(row, v)) % 256 for row in m)
 
 
-@settings(max_examples=200)
-@given(v=block)
-def test_mat4_identity_and_zero(v):
-    zero = tuple((0, 0, 0, 0) for _ in range(4))
-    assert mat4_vec_mod256(MAT4_IDENTITY, v) == v
-    assert mat4_vec_mod256(zero, v) == (0, 0, 0, 0)
-
-
 @settings(max_examples=300)
-@given(m=mat4, v=block)
-def test_mat4_vec_matches_wide_oracle(m, v):
-    assert mat4_vec_mod256(m, v) == _oracle_matvec(m, v)
+@given(k=mat2, v=block)
+def test_mat4_vec_matches_wide_oracle(k, v):
+    # hill_apply's difference form equals the expanded matrix times the block
+    got = hill_apply(np.array([v], dtype=np.uint8), k)[0]
+    assert tuple(got.tolist()) == _oracle_matvec(expand_key(k).km, v)
 
 
 def test_mat4_vec_linearity():
+    # the Hill layer is linear over Z/256 for every key
     rng = np.random.default_rng(1)
     for _ in range(1000):
-        m = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 256, (4, 4)))
-        v1 = tuple(int(x) for x in rng.integers(0, 256, 4))
-        v2 = tuple(int(x) for x in rng.integers(0, 256, 4))
-        vsum = tuple((a + b) % 256 for a, b in zip(v1, v2))
-        lhs = mat4_vec_mod256(m, vsum)
-        rhs = tuple(
-            (a + b) % 256
-            for a, b in zip(mat4_vec_mod256(m, v1), mat4_vec_mod256(m, v2))
-        )
-        assert lhs == rhs
+        k = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 256, (2, 2)))
+        v1, v2 = rng.integers(0, 256, (2, 1, 4), dtype=np.uint8)
+        assert np.array_equal(hill_apply(v1 + v2, k), hill_apply(v1, k) + hill_apply(v2, k))
 
 
 def test_mat4_mul_identity_neutral_and_associative():
@@ -202,33 +171,30 @@ def test_mat4_mul_identity_neutral_and_associative():
         )
 
 
-# --- solve_k_rows_mod256 ----------------------------------------------------
+# --- solve_rows_mod256 on (a, b, rhs) equations ----------------------------------
+
+
+def _solve(equations):
+    """Every (k, l) with k*a + l*b = rhs (mod 256) for each (a, b, rhs)."""
+    return [tuple(pair) for pair in solve_rows_mod256(*zip(*equations)).tolist()]
 
 
 def test_solver_identity_system():
-    assert solve_k_rows_mod256([(1, 0, 123), (0, 1, 45)]) == (123, 45)
+    assert _solve([(1, 0, 123), (0, 1, 45)]) == [(123, 45)]
 
 
 def test_solver_all_even_determinants():
-    with pytest.raises(UnderdeterminedError):
-        solve_k_rows_mod256([(2, 0, 10), (0, 2, 12)])
+    assert len(_solve([(2, 0, 10), (0, 2, 12)])) >= 2
 
 
 def test_solver_all_even_determinants_can_be_inconsistent():
     # 2k = 1 has no solution mod 256, however many pairs the rows allow
-    with pytest.raises(InconsistentError):
-        solve_k_rows_mod256([(2, 0, 1), (0, 2, 0)])
-
-
-def test_solver_needs_two_equations():
-    with pytest.raises(ValueError):
-        solve_k_rows_mod256([(1, 1, 1)])
+    assert _solve([(2, 0, 1), (0, 2, 0)]) == []
 
 
 def test_solver_inconsistent():
     # same left-hand side, different right-hand side, plus a pivot pair
-    with pytest.raises(InconsistentError):
-        solve_k_rows_mod256([(1, 0, 1), (0, 1, 2), (1, 0, 3)])
+    assert _solve([(1, 0, 1), (0, 1, 2), (1, 0, 3)]) == []
 
 
 def test_solver_recovers_planted_solutions():
@@ -246,7 +212,7 @@ def test_solver_recovers_planted_solutions():
             for j in range(i + 1, 4)
         ):
             continue  # no odd-determinant pair planted; resample
-        assert solve_k_rows_mod256(eqs) == (k, l)
+        assert _solve(eqs) == [(k, l)]
         trials += 1
 
 
@@ -264,7 +230,7 @@ def test_solver_cross_checked_by_exhaustive_search():
         ok &= (a * kk + b * ll) % 256 == r
     solutions = list(zip(*np.nonzero(ok)))
     assert solutions == [(k, l)]
-    assert solve_k_rows_mod256(eqs) == (k, l)
+    assert _solve(eqs) == [(k, l)]
 
 
 def _oracle_rows(a, b, t):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipher_autopsy.algebra import solve_k_rows_mod256, solve_rows_mod256
+from cipher_autopsy.algebra import solve_rows_mod256
 from cipher_autopsy.attacks import (
     AttackStatus,
     KeyMask,
@@ -168,7 +168,7 @@ def test_out_of_range_inputs_are_read_mod_256():
     assert kpa_recover_hill_key(one).status is AttackStatus.INCONSISTENT
     rows = solve_rows_mod256([257, -1, 512], [-255, 3, 2], [300, -44, -1024])
     assert rows.tolist() == [[44, 0], [172, 128]]
-    assert solve_k_rows_mod256([(257, -256, 635), (-256, -255, -211)]) == (123, 45)
+    assert solve_rows_mod256([257, -256], [-256, -255], [635, -211]).tolist() == [[123, 45]]
 
 
 def test_kpa_requires_input():

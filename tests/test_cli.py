@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from cipher_autopsy import cli
-from cipher_autopsy.attacks import KeyNotFoundError
+from cipher_autopsy import cli, ecgroup
+from cipher_autopsy.attacks import KeyMask, KeyNotFoundError
 from cipher_autopsy.dwc import dwc_encrypt
-from cipher_autopsy.ecgroup import DegenerateDerivedPointError
-from cipher_autopsy.ecchc import ecchc_encrypt, encrypt_block, expand_key
+from cipher_autopsy.ecgroup import DegenerateDerivedPointError, EcPoint
+from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, encrypt_block, expand_key
 from cipher_autopsy.imagekit import (
     blocks_of,
     gen_checkerboard,
@@ -87,6 +87,34 @@ def test_encrypt_bad_key_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["code"] == cli.EXIT_KEY
 
 
+@pytest.mark.parametrize(
+    "parse,argv,text",
+    [
+        (HillKey.from_hex, ["attack", "fixed-points", "--samples", "4", "--key={}"], text)
+        for text in ("-1223344", "+1223344", "1 223344", "\u0661\u0662" * 4, "\uff11\uff12" * 4)
+    ]
+    + [
+        (KeyMask.parse, ["attack", "brute-hill", "--in", "{img}", "--enc", "{img}", "--mask={}"], text)
+        for text in ("-1??????", "+1??????", "1 ??????", "\u0660\u0660??????")
+    ]
+    + [
+        (cli._dwc_byte, ["encrypt", "--alg", "dwc", "--key={}", "--in", "{img}", "--out", "{out}"], text)
+        for text in ("+f", "-0", "\u0660\u0660")
+    ],
+)
+def test_key_text_with_a_sign_space_or_non_ascii_digit_is_rejected(
+    tmp_path, capsys, parse, argv, text
+):
+    # int(_, 16) alone takes a sign, inner whitespace and any Unicode digit
+    with pytest.raises(ValueError):
+        parse(text)
+    img, out = tmp_path / "a.pgm", tmp_path / "o.pgm"
+    save_pgm(gen_checkerboard(4, 8, 8), img)
+    assert run_cli(*(arg.format(text, img=img, out=out) for arg in argv)) == cli.EXIT_KEY
+    assert one_error_line(capsys, cli.EXIT_KEY).startswith("bad ")
+    assert not out.exists()
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     code = run_cli("encrypt", "--alg", "dwc", "--key", "00", "--in", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.pgm"))
     assert code == cli.EXIT_FILE
@@ -126,6 +154,37 @@ def test_keygen_deterministic(capsys):
     assert len(doc1["key_hex"]) == 8
     km = np.array(doc1["km"], dtype=np.int64)
     assert np.array_equal((km @ km) % 256, np.eye(4, dtype=np.int64))
+
+
+# keygen --seed s stdout, recorded before the agreement moved into
+# ecgroup.agree; each is stored compact and re-indented as _emit prints it
+KEYGEN_STDOUT = {
+    -1: '{"curve":{"q":1009,"a":1,"b":79,"g":[1,9],"order":1009},"alice":{"private":225,"public":[577,288]},"bob":{"private":80,"public":[201,754]},"shared_point":[208,679],"k":[[227,17],[117,161]],"km":[[227,17,30,239],[117,161,139,96],[228,17,29,239],[117,162,139,95]],"key_hex":"e31175a1","km_self_inverse":true}',
+    0: '{"curve":{"q":1009,"a":1,"b":79,"g":[1,9],"order":1009},"alice":{"private":80,"public":[201,754]},"bob":{"private":402,"public":[553,949]},"shared_point":[318,303],"k":[[18,77],[58,202]],"km":[[18,77,239,179],[58,202,198,55],[19,77,238,179],[58,203,198,54]],"key_hex":"124d3aca","km_self_inverse":true}',
+    1: '{"curve":{"q":1009,"a":1,"b":79,"g":[1,9],"order":1009},"alice":{"private":402,"public":[553,949]},"bob":{"private":383,"public":[147,371]},"shared_point":[998,42],"k":[[217,255],[124,199]],"km":[[217,255,40,1],[124,199,132,58],[218,255,39,1],[124,200,132,57]],"key_hex":"d9ff7cc7","km_self_inverse":true}',
+    2: '{"curve":{"q":1009,"a":1,"b":79,"g":[1,9],"order":1009},"alice":{"private":383,"public":[147,371]},"bob":{"private":766,"public":[695,509]},"shared_point":[727,135],"k":[[163,140],[143,9]],"km":[[163,140,94,116],[143,9,113,248],[164,140,93,116],[143,10,113,247]],"key_hex":"a38c8f09","km_self_inverse":true}',
+    3: '{"curve":{"q":1009,"a":1,"b":79,"g":[1,9],"order":1009},"alice":{"private":766,"public":[695,509]},"bob":{"private":203,"public":[31,287]},"shared_point":[890,43],"k":[[206,232],[81,81]],"km":[[206,232,51,24],[81,81,175,176],[207,232,50,24],[81,82,175,175]],"key_hex":"cee85151","km_self_inverse":true}',
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KEYGEN_STDOUT))
+def test_keygen_stdout_is_pinned(capsys, seed):
+    assert run_cli("keygen", f"--seed={seed}") == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(json.loads(KEYGEN_STDOUT[seed]), indent=2) + "\n"
+    assert captured.err == ""
+
+
+def test_keygen_agreement_mismatch_is_exit_6(capsys, monkeypatch):
+    # the two sides' shared points differ: a fault, reported as curve degeneracy
+    points = iter([EcPoint(1, 9), EcPoint(201, 754)])
+    monkeypatch.setattr(ecgroup, "shared_point", lambda *args: next(points))
+    assert run_cli("keygen") == cli.EXIT_CURVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        '{"error": "CliError", "message": "two-party agreement mismatch", "code": 6}\n'
+    )
 
 
 # --- metrics and report ---------------------------------------------------------------

@@ -10,12 +10,12 @@ from cipher_autopsy.ecgroup import (
     DegenerateSharedPointError,
     EcPoint,
     PointNotOnCurveError,
+    agree,
     count_points,
     derive_hill_key,
     find_demo_curve,
     keygen,
     point_add,
-    point_neg,
     scalar_mul,
     shared_point,
     splitmix64,
@@ -56,7 +56,8 @@ def test_point_count_matches_frozen_order():
 
 
 def test_curve_params_text_round_trip():
-    assert CurveParams.from_text(C.to_text()) == C
+    fields = dict(line.split() for line in C.to_text().splitlines())
+    assert CurveParams(**{name: int(value) for name, value in fields.items()}) == C
 
 
 # --- group law against a brute-force-built group -----------------------------
@@ -136,7 +137,7 @@ def test_point_add_identity_and_inverse():
     p = scalar_mul(17, C.generator, C)
     assert point_add(p, INFINITY, C) == p
     assert point_add(INFINITY, p, C) == p
-    assert point_add(p, point_neg(p, C), C).is_infinity
+    assert point_add(p, EcPoint(p.x, -p.y % C.q), C).is_infinity
 
 
 def test_point_add_rejects_off_curve():
@@ -246,6 +247,15 @@ def test_both_parties_derive_identical_matrix():
         k_a = derive_hill_key(shared_point(a.private_n, b.public_p, C), C)
         k_b = derive_hill_key(shared_point(b.private_n, a.public_p, C), C)
         assert k_a == k_b
+
+
+def test_agree_is_the_four_call_chain_for_every_report_seed():
+    # oracle: the agreement written out by hand, one side's shared point
+    for seed in range(64):
+        alice = keygen(C, seed)
+        bob = keygen(C, seed + 1)
+        k_i = shared_point(alice.private_n, bob.public_p, C)
+        assert agree(seed) == (alice, bob, k_i, derive_hill_key(k_i, C))
 
 
 def test_no_degenerate_derivations_possible_on_default_curve():

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +25,16 @@ from cipher_autopsy.imagekit import (
     read_pgm,
     save_pgm,
     unblocks,
-    write_pgm,
 )
 from cipher_autopsy.metrics import entropy
+
+
+def _saved_bytes(img):
+    """The bytes of the file save_pgm writes for img."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "img.pgm"
+        save_pgm(img, path)
+        return path.read_bytes()
 
 
 def _random_image(seed, w, h):
@@ -69,12 +79,12 @@ def test_blocks_bijection(seed, w, h):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_pgm_round_trip(seed):
     img = _random_image(seed, 16, 8)
-    assert read_pgm(write_pgm(img)) == img
+    assert read_pgm(_saved_bytes(img)) == img
 
 
 def test_pgm_p2_and_p5_parse_identically():
     img = _random_image(11, 5, 3)
-    p5 = write_pgm(img)
+    p5 = _saved_bytes(img)
     samples = " ".join(str(v) for v in img.pixels.ravel())
     p2 = f"P2\n5 3\n255\n{samples}\n".encode()
     assert read_pgm(p2) == read_pgm(p5)
@@ -117,14 +127,14 @@ def test_pgm_rejects_out_of_range_ascii_sample():
 
 def test_write_is_canonical_p5():
     img = GrayImage.from_bytes(bytes([0, 128, 255, 7]), 2, 2)
-    assert write_pgm(img) == b"P5\n2 2\n255\n\x00\x80\xff\x07"
+    assert _saved_bytes(img) == b"P5\n2 2\n255\n\x00\x80\xff\x07"
 
 
 def test_save_pgm_writes_the_bytes_of_write_pgm(tmp_path):
     img = _random_image(12, 7, 5)
     path = tmp_path / "img.pgm"
     save_pgm(img, path)
-    assert path.read_bytes() == write_pgm(img)
+    assert path.read_bytes() == b"P5\n7 5\n255\n" + img.tobytes()
     assert load_pgm(path) == img
 
 
