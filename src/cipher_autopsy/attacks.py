@@ -6,10 +6,12 @@ fixed-point census and the duplicate-block (codebook leak) detector.
 
 from __future__ import annotations
 
+import functools
 import string
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,9 +95,6 @@ class KeyMask:
     def all_unknown(cls) -> "KeyMask":
         return cls(values=(None, None, None, None))
 
-    def format(self) -> str:
-        return "".join("??" if v is None else f"{v:02x}" for v in self.values)
-
     @property
     def unknown_positions(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v is None)
@@ -166,9 +165,11 @@ def kpa_recover_hill_key(samples: Sequence[KpaSample]) -> AttackOutcome:
     start = time.perf_counter()
     if not samples:
         raise ValueError("need at least one sample")
-    keys = _hill_keys(
-        [s.plaintext for s in samples], [s.ciphertext for s in samples]
-    )
+    sides = [s.plaintext for s in samples], [s.ciphertext for s in samples]
+    if any(set(map(len, side)) != {4} for side in sides):
+        raise ValueError("every sample block must have 4 values")
+    pblocks, cblocks = (np.fromiter(chain.from_iterable(side), np.int64) for side in sides)
+    keys = _hill_keys(pblocks.reshape(-1, 4), cblocks.reshape(-1, 4))
     return _hill_outcome(keys, int(len(keys) == 1), start)
 
 
@@ -249,6 +250,13 @@ def rle_mask(mask: np.ndarray) -> str:
     )
 
 
+@functools.cache
+def _xor_index() -> np.ndarray:
+    """Flat index of t[x ^ k, x] in a 256x256 table, laid out by (x, k)."""
+    x = np.arange(256)[:, None]
+    return (((x ^ x.T) << 8) | x).ravel()
+
+
 def smoothness_scores(
     cipher: GrayImage, tolerance: int = 16
 ) -> list[tuple[int, int, int]]:
@@ -260,27 +268,33 @@ def smoothness_scores(
     bytes 1..3 of the same block: the number of blocks within `tolerance`
     and the summed absolute deviation.  Returns (key, count, total_dev).
 
-    All keys are scored from one joint histogram h[x, m] of (byte 0,
-    median), in exact integer arithmetic.  Prefix sums over m give, for
-    every byte y, g[x, y] = sum_m h[x, m] * |y - m| and the count of m
-    within tolerance of y; key k's figures are the sums over x at y = x ^ k.
+    All keys are scored from one joint histogram h[m, x] of (median,
+    byte 0).  Prefix sums over m give, for every byte y, g[y, x] =
+    sum_m h[m, x] * |y - m| and the count of m within tolerance of y; key
+    k's figures are the sums over x at y = x ^ k.  Wrapping uint32 is exact
+    here: every entry and sum lies in [0, 255 * N] for N blocks, and
+    dwc_decrypt refuses N >= 2^24, so 255 * N < 2^32.
     """
     partial = blocks_of(dwc_decrypt(cipher, 0))
     a, b, c = partial[:, 1:4].T
     med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-    h = np.bincount((partial[:, 0].astype(np.uint16) << 8) | med, minlength=65536)
+    h = np.bincount((med.astype(np.uint16) << 8) | partial[:, 0], minlength=65536)
     h = h.reshape(256, 256)
-    y = np.arange(256)
-    below = np.cumsum(h, axis=1)  # blocks with median <= y
-    below_sum = np.cumsum(h * y, axis=1)  # and the sum of those medians
-    g = 2 * (y * below - below_sum) + below_sum[:, -1:] - y * below[:, -1:]
-    # blocks with median in [lo, hi): prefix[hi] - prefix[lo]
-    prefix = np.pad(below, ((0, 0), (1, 0)))
-    lo = np.clip(y - tolerance, 0, 256)
-    hi = np.clip(y + tolerance + 1, lo, 256)
-    within = prefix[:, hi] - prefix[:, lo]
-    cand = y[:, None] ^ y  # cand[x, k]: byte 0 under key k
-    count, dev = (np.take_along_axis(t, cand, axis=1).sum(axis=0) for t in (within, g))
+    y = np.arange(256, dtype=np.uint32)[:, None]
+    within, g = t = np.empty((2, 256, 256), dtype=np.uint32)
+    prefix = np.zeros((257, 256), dtype=np.uint32)  # [j]: blocks with median < j
+    below = prefix[1:]  # blocks with median <= y
+    np.cumsum(h, axis=0, dtype=np.uint32, out=below)
+    np.cumsum(np.multiply(h, y, out=g, casting="unsafe"), axis=0, out=g)  # medians <= y, summed
+    del h  # 512 KiB; the rest of the call needs only the uint32 tables
+    # sum_m h * |y - m| = (all medians) - 2 * (those <= y) + y * (2 * below - all blocks)
+    g[...] = g[-1] - (g << 1) + ((below << 1) - below[-1]) * y
+    j = np.arange(256)
+    lo = np.clip(j - tolerance, 0, 256)
+    hi = np.clip(j + tolerance + 1, lo, 256)
+    np.subtract(prefix[hi], prefix[lo], out=within)  # median in [lo, hi)
+    sums = np.take(t.reshape(2, -1), _xor_index(), axis=1).reshape(2, 256, 256)
+    count, dev = sums.sum(axis=1, dtype=np.uint32)
     return list(zip(range(256), count.tolist(), dev.tolist()))
 
 
@@ -326,11 +340,15 @@ def fixed_point_census(
     key: HillKey, sample_count: int = 4096, seed: int = 0
 ) -> FixedPointCensus:
     """Verify the 256 structurally guaranteed fixed points (p, p, p, p)
-    and probe a random sample of blocks for additional ones."""
+    and probe the blocks default_rng(seed).integers(0, 256, (sample_count,
+    4)) draws for additional ones.  They are read off the raw stream: a
+    byte's bounded draw (Lemire's) is next_uint32 >> 24, never rejected,
+    and PCG64 hands out each 64-bit output low half first."""
     diag = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 4, axis=1)
     diag_fixed = int(np.count_nonzero(np.all(hill_apply(diag, key.k) == diag, axis=1)))
-    rng = np.random.default_rng(seed)
-    sample = rng.integers(0, 256, size=(sample_count, 4)).astype(np.uint8)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(2 * sample_count)
+    top = raw.astype("<u8", copy=False).view(np.uint8)[3::4]  # each 32-bit half's top byte
+    sample = np.ascontiguousarray(top).reshape(-1, 4)
     # each block and its image compared as one 32-bit word
     fixed_rows = (hill_apply(sample, key.k).view("<u4") == sample.view("<u4"))[:, 0]
     found = [tuple(row) for row in sample[fixed_rows].tolist()]

@@ -1,10 +1,12 @@
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipher_autopsy import attacks
 from cipher_autopsy.algebra import solve_rows_mod256
 from cipher_autopsy.attacks import (
     AttackStatus,
@@ -176,6 +178,21 @@ def test_kpa_requires_input():
         kpa_recover_hill_key([])
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[(1, 2, 3)], [(1, 2, 3, 4, 5)], [(1, 2, 3), (1, 2, 3, 4, 5)], [(1, 2, 3, 4, 5), (1, 2, 3)]],
+)
+@pytest.mark.parametrize("side", ["plaintext", "ciphertext"])
+def test_kpa_rejects_blocks_without_four_values(blocks, side):
+    # a 3-block and a 5-block hold 8 values between them, as two 4-blocks do
+    full = (0, 0, 0, 0)
+    samples = [
+        KpaSample(b, full) if side == "plaintext" else KpaSample(full, b) for b in blocks
+    ]
+    with pytest.raises(ValueError):
+        kpa_recover_hill_key(samples)
+
+
 def test_kpa_ambiguous_exactly_when_no_odd_determinant_pair():
     # completeness: the attack fails only when every equation-pair
     # determinant is even, and then the key really is not pinned down
@@ -206,6 +223,22 @@ def test_kpa_ambiguous_exactly_when_no_odd_determinant_pair():
     assert 0.5 < ambiguous / trials < 0.75
 
 
+def _traced_peak(call):
+    """Bytes that one warm call of `call` allocates at its peak."""
+    call()  # warm
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("board", [False, True])
 def test_hill_search_temporaries_are_bounded(board):
     # no int64 copy of the blocks and no 2^16-pair solution set: one 256x256
@@ -217,19 +250,7 @@ def test_hill_search_temporaries_are_bounded(board):
         plain = gen_photo(3)
         cipher = ecchc_encrypt(plain, expand_key(((0x1A, 0x2B), (0x3C, 0x4D))))
         mask = KeyMask.parse("1a2b????")
-    brute_force_hill(plain, cipher, mask)  # warm
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        brute_force_hill(plain, cipher, mask)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert peak < 512 * 1024
+    assert _traced_peak(lambda: brute_force_hill(plain, cipher, mask)) < 512 * 1024
 
 
 # --- mask parsing -----------------------------------------------------------------
@@ -238,7 +259,7 @@ def test_hill_search_temporaries_are_bounded(board):
 def test_keymask_parse_format():
     mask = KeyMask.parse("ab??cd??")
     assert mask.values == (0xAB, None, 0xCD, None)
-    assert mask.format() == "ab??cd??"
+    assert KeyMask.parse(" AB??CD?? ").values == mask.values
     assert mask.unknown_positions == (1, 3)
     assert mask.candidate_count == 65536
     assert KeyMask.all_unknown().candidate_count == 2**32
@@ -388,6 +409,20 @@ def test_smoothness_scores_match_per_key_oracle(seed, shape, kind, key, toleranc
     assert all(type(v) is int for row in got for v in row)
 
 
+@pytest.mark.parametrize("kind", ["noise", "constant"])
+def test_smoothness_scores_large_sums_match_oracle(kind):
+    # 2^18 blocks: a key's deviation sum reaches 255 * 2^18, past 2^24
+    img = gen_noise(11, 1024, 1024) if kind == "noise" else gen_constant(255, 1024, 1024)
+    cipher = dwc_encrypt(img, 0x5A)
+    assert smoothness_scores(cipher) == _oracle_smoothness_scores(cipher, 16)
+
+
+def test_smoothness_scores_temporaries_are_bounded():
+    # two uint32 tables and one uint32 gather; the int64 prefix sums took 4,259 KiB
+    cipher = dwc_encrypt(gen_photo(3), 0x21)
+    assert _traced_peak(lambda: smoothness_scores(cipher)) < 2.5 * 1024 * 1024
+
+
 # --- keyless partial recovery --------------------------------------------------------
 
 
@@ -447,6 +482,18 @@ def test_census_reports_sampled_hits():
     assert census.sampled_fixed
     for blk in census.sampled_fixed:
         assert encrypt_block(key, blk) == blk
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 100_000, 2**20])
+@pytest.mark.parametrize("seed", [0, 5, 2**31, 2**64 - 1])
+def test_census_samples_the_integers_stream(monkeypatch, n, seed):
+    # with the Hill layer replaced by the identity every block is fixed, so
+    # sampled_fixed is the whole sample, in order
+    monkeypatch.setattr(attacks, "hill_apply", lambda blocks, k: blocks)
+    census = fixed_point_census(expand_key(((1, 2), (3, 4))), sample_count=n, seed=seed)
+    oracle = np.random.default_rng(seed).integers(0, 256, (n, 4))
+    got = np.fromiter(chain.from_iterable(census.sampled_fixed), np.int64).reshape(-1, 4)
+    assert np.array_equal(got, oracle)
 
 
 # --- duplicate-block detector -----------------------------------------------------------

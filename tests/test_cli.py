@@ -365,6 +365,18 @@ def test_attack_fixed_points(capsys):
     assert doc["sampled_tested"] == 1000
 
 
+def test_attack_fixed_points_sample_stream_is_pinned(capsys):
+    # the two swap-symmetric blocks among seed 2's 200,000 samples
+    assert run_cli(
+        "attack", "fixed-points", "--key", "00000000", "--samples", "200000", "--seed", "2"
+    ) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "diagonal_fixed": 256,\n  "sampled_tested": 200000,\n  "sampled_fixed": [\n'
+        "    [\n      210,\n      207,\n      210,\n      207\n    ],\n"
+        "    [\n      77,\n      214,\n      77,\n      214\n    ]\n  ]\n}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "samples,code",
     [("-1", 2), ("1048577", 2), (str(2**40), 2), ("0", 0), ("1048576", 0)],

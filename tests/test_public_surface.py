@@ -7,7 +7,9 @@ counts as used when src/, scripts/ or bench/ loads it as a bare name, as
 an attribute or through an import.  Comments and docstrings do not count,
 so mentioning a name in prose does not keep it alive.  The match is by
 name alone, so a method shares its liveness with any attribute of the
-same name.
+same name.  The scan matches method names, not receivers, so a common
+name such as `format` or `size` can hide a dead method: `str.format` in
+cli.py kept `KeyMask.format` alive with only a test calling it.
 """
 
 import ast
