@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,17 +178,16 @@ def brute_force_hill(
     cipher: GrayImage,
     mask: KeyMask | None = None,
     *,
-    verify_unique: bool = True,
     allow_full_search: bool = False,
 ) -> AttackOutcome:
     """Find the keys consistent with the mask that map plain to cipher.
 
     The result is that of a scan over the mask's candidates in ascending
-    (k11, k12, k21, k22) order.  With verify_unique the scan goes on after
-    a hit and reports ambiguous at the second match (a plaintext made of
-    fixed points matches every key, for example); without it, the scan
-    stops at the first match.  candidates_tested is the number of
-    candidates that scan tests.  No scan runs: the matching keys are solved
+    (k11, k12, k21, k22) order that goes on after a hit and reports
+    ambiguous at the second match (a plaintext made of fixed points matches
+    every key, for example).  candidates_tested is the number of candidates
+    that scan tests: all of them when one key fits, the rank of the second
+    match plus 1 when several do.  No scan runs: the matching keys are solved
     for exactly, one linear system per key row over Z/256, so any mask
     costs a few uint8 passes over the blocks: the 2^32 search on a 64x64
     image takes about 0.25 ms on a 2-core Xeon.  The all-unknown mask is
@@ -207,13 +206,9 @@ def brute_force_hill(
     keys = _hill_keys(blocks_of(plain), blocks_of(cipher), mask.values)
     if not keys:
         raise KeyNotFoundError("no key matches the image pair", mask.candidate_count)
-    if not verify_unique:
-        keys = keys[:1]
-    if verify_unique and len(keys) == 1:
-        tested = mask.candidate_count
-    else:
-        rank = bytes(keys[-1][i] for i in mask.unknown_positions)
-        tested = int.from_bytes(rank, "big") + 1
+    tested = mask.candidate_count
+    if len(keys) > 1:  # the scan stops at the second match
+        tested = int.from_bytes(bytes(keys[1][i] for i in mask.unknown_positions), "big") + 1
     return _hill_outcome(keys, tested, start)
 
 
@@ -257,23 +252,17 @@ def _xor_index() -> np.ndarray:
     return (((x ^ x.T) << 8) | x).ravel()
 
 
-def smoothness_scores(
-    cipher: GrayImage, tolerance: int = 16
-) -> list[tuple[int, int, int]]:
-    """Per-key smoothness diagnostics for the candidate plaintexts.
+def smoothness_scores(cipher: GrayImage) -> list[int]:
+    """Smoothness deviation of each key's candidate plaintext, indexed by key.
 
     The keyless core inversion is shared across candidates (that sharing
     is the cipher's flaw); candidate k then differs only in byte 0 of each
-    block.  For each key, measure how byte 0 sits against the median of
-    bytes 1..3 of the same block: the number of blocks within `tolerance`
-    and the summed absolute deviation.  Returns (key, count, total_dev).
-
-    All keys are scored from one joint histogram h[m, x] of (median,
-    byte 0).  Prefix sums over m give, for every byte y, g[y, x] =
-    sum_m h[m, x] * |y - m| and the count of m within tolerance of y; key
-    k's figures are the sums over x at y = x ^ k.  Wrapping uint32 is exact
-    here: every entry and sum lies in [0, 255 * N] for N blocks, and
-    dwc_decrypt refuses N >= 2^24, so 255 * N < 2^32.
+    block.  Key k's deviation sums, over the blocks, the distance of byte 0
+    to the median of bytes 1..3.  One joint histogram h[m, x] of (median,
+    byte 0) scores all keys: prefix sums over m give g[y, x] =
+    sum_m h[m, x] * |y - m|, and key k's deviation is the sum over x of
+    g[x ^ k, x].  Wrapping uint32 is exact: every entry and sum lies in
+    [0, 255 * N] for N blocks, and dwc_decrypt refuses N >= 2^24, so 255 * N < 2^32.
     """
     partial = blocks_of(dwc_decrypt(cipher, 0))
     a, b, c = partial[:, 1:4].T
@@ -281,47 +270,28 @@ def smoothness_scores(
     h = np.bincount((med.astype(np.uint16) << 8) | partial[:, 0], minlength=65536)
     h = h.reshape(256, 256)
     y = np.arange(256, dtype=np.uint32)[:, None]
-    within, g = t = np.empty((2, 256, 256), dtype=np.uint32)
-    prefix = np.zeros((257, 256), dtype=np.uint32)  # [j]: blocks with median < j
-    below = prefix[1:]  # blocks with median <= y
-    np.cumsum(h, axis=0, dtype=np.uint32, out=below)
-    np.cumsum(np.multiply(h, y, out=g, casting="unsafe"), axis=0, out=g)  # medians <= y, summed
+    below = np.cumsum(h, axis=0, dtype=np.uint32)  # blocks with median <= y
+    g = np.multiply(h, y, dtype=np.uint32, casting="unsafe")
+    np.cumsum(g, axis=0, out=g)  # medians <= y, summed
     del h  # 512 KiB; the rest of the call needs only the uint32 tables
     # sum_m h * |y - m| = (all medians) - 2 * (those <= y) + y * (2 * below - all blocks)
     g[...] = g[-1] - (g << 1) + ((below << 1) - below[-1]) * y
-    j = np.arange(256)
-    lo = np.clip(j - tolerance, 0, 256)
-    hi = np.clip(j + tolerance + 1, lo, 256)
-    np.subtract(prefix[hi], prefix[lo], out=within)  # median in [lo, hi)
-    sums = np.take(t.reshape(2, -1), _xor_index(), axis=1).reshape(2, 256, 256)
-    count, dev = sums.sum(axis=1, dtype=np.uint32)
-    return list(zip(range(256), count.tolist(), dev.tolist()))
+    dev = np.take(g, _xor_index()).reshape(256, 256).sum(axis=0, dtype=np.uint32)
+    return dev.tolist()
 
 
-def brute_force_dwc(
-    cipher: GrayImage,
-    predicate: Callable[[GrayImage], float] | None = None,
-) -> list[tuple[int, float]]:
-    """Decrypt under all 256 keys and rank them by plaintext plausibility.
+def brute_force_dwc(cipher: GrayImage) -> list[tuple[int, float]]:
+    """Rank all 256 keys by the plausibility of their candidate plaintexts.
 
-    The default scorer is the negated total smoothness deviation from
-    smoothness_scores (ties broken by smaller key byte).  The deviation is
-    preferred over the within-tolerance count because a key differing from
-    the truth only in low bits shifts byte 0 by one or two levels: that
-    barely moves a threshold count on a smooth image, but it strictly
-    inflates the summed distance to the local median.  A custom predicate
-    receives each candidate plaintext image and must return a score where
-    higher means more plausible.
+    A key's score is its negated smoothness_scores deviation, best first
+    (ties broken by smaller key byte).  The deviation beats a
+    within-tolerance count because a key differing from the truth only in
+    low bits shifts byte 0 by one or two levels: that barely moves a
+    threshold count on a smooth image, but it strictly inflates the summed
+    distance to the local median.
     """
-    if predicate is None:
-        rows = smoothness_scores(cipher)
-        rows.sort(key=lambda r: (r[2], r[0]))
-        return [(k, float(-dev)) for k, _, dev in rows]
-    scored = [
-        (k, float(predicate(dwc_decrypt(cipher, k)))) for k in range(256)
-    ]
-    scored.sort(key=lambda r: (-r[1], r[0]))
-    return scored
+    dev = smoothness_scores(cipher)
+    return [(k, float(-dev[k])) for k in sorted(range(256), key=lambda k: (dev[k], k))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ cache-sized chunks and reassembles the raster.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,33 +129,29 @@ def map_blocks(
 # PGM codec: binary P5 and ASCII P2, maxval 255 only, comments tolerated.
 # ---------------------------------------------------------------------------
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Whitespace and whole '#' comments (a comment starts only where a token could
+# and runs to the next '\n'), then the token if there is one.
+_TOKEN = re.compile(
+    rb"[ \t\n\r\x0b\x0c]*(?:#[^\n]*\n[ \t\n\r\x0b\x0c]*)*([^ \t\n\r\x0b\x0c#][^ \t\n\r\x0b\x0c]*)?"
+)
 
 
 def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """Read `count` whitespace-separated tokens, skipping '#' comments.
 
     Returns the tokens and the offset one byte past the whitespace byte
-    that terminated the last token.
+    that terminated the last token.  Each token is one _TOKEN match (it
+    cannot fail: the token is optional), so any header is read at C speed.
     """
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1] in _WHITESPACE:
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise MalformedHeaderError("unterminated comment")
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-            pos += 1
-        if start == pos:
-            raise MalformedHeaderError("truncated header")
-        tokens.append(data[start:pos])
-        pos += 1  # consume the single whitespace byte ending the token
+        m = _TOKEN.match(data, pos)
+        if m[1] is None:  # at the end of data, or at a comment with no '\n'
+            comment = data[m.end() : m.end() + 1] == b"#"
+            raise MalformedHeaderError("unterminated comment" if comment else "truncated header")
+        tokens.append(m[1])
+        pos = m.end() + 1  # consume the single whitespace byte ending the token
     return tokens, pos
 
 
@@ -180,12 +177,8 @@ def read_pgm(data: bytes) -> GrayImage:
         # P5 pixels are a read-only view of the payload in `data`, not a copy.
         pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
         return GrayImage(pixels.reshape(height, width))
-    body = data[offset:]
-    # ASCII samples; comment lines may appear between values too.
-    clean = b"\n".join(
-        line.split(b"#", 1)[0] for line in body.splitlines()
-    )
-    fields = clean.split()
+    # ASCII samples; any '#' starts a comment that runs to the line's end.
+    fields = re.sub(rb"#[^\r\n]*", b"", data[offset:]).split()
     if len(fields) < n:
         raise TruncatedDataError(f"expected {n} samples, got {len(fields)}")
     try:

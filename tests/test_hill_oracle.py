@@ -125,24 +125,15 @@ def masks(draw, key):
 def test_brute_force_hill_matches_oracle(data):
     plain, cipher, key = data.draw(image_pairs())
     mask = data.draw(masks(key))
-    verify_unique = data.draw(st.booleans())
     pblocks, cblocks = blocks_of(plain), blocks_of(cipher)
     count, first = _oracle(pblocks, cblocks, mask)
     if count == 0:
         with pytest.raises(KeyNotFoundError) as exc:
-            brute_force_hill(
-                plain, cipher, mask, verify_unique=verify_unique, allow_full_search=True
-            )
+            brute_force_hill(plain, cipher, mask, allow_full_search=True)
         assert exc.value.candidates_tested == mask.candidate_count
         return
-    outcome = brute_force_hill(
-        plain, cipher, mask, verify_unique=verify_unique, allow_full_search=True
-    )
-    if not verify_unique:
-        assert outcome.status is AttackStatus.UNIQUE
-        assert outcome.recovered_key == bytes(first[0]).hex()
-        assert outcome.candidates_tested == _rank(first[0], mask) + 1
-    elif count == 1:
+    outcome = brute_force_hill(plain, cipher, mask, allow_full_search=True)
+    if count == 1:
         assert outcome.status is AttackStatus.UNIQUE
         assert outcome.recovered_key == bytes(first[0]).hex()
         assert outcome.candidates_tested == mask.candidate_count

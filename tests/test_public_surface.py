@@ -1,5 +1,5 @@
 """Every public function, class and method of cipher_autopsy has a caller
-outside the tests.
+outside the tests, and so does every defaulted parameter.
 
 A public name that only tests load is a second copy of work the program
 does elsewhere, or dead code.  The check reads the syntax tree: a name
@@ -10,6 +10,13 @@ name alone, so a method shares its liveness with any attribute of the
 same name.  The scan matches method names, not receivers, so a common
 name such as `format` or `size` can hide a dead method: `str.format` in
 cli.py kept `KeyMask.format` alive with only a test calling it.
+
+A defaulted parameter that no call outside the tests binds is an option
+only tests set.  Calls are matched to definitions by name in the same way,
+and a call to a class binds that class's __init__.  A function that is
+loaded as a value, not called on the spot (bench/workloads.py keeps the
+image generators in a dict), may be called with any arguments, so all of
+its parameters count as bound.
 """
 
 import ast
@@ -28,6 +35,15 @@ ALLOWED = {
     "counter_masks": "thin scalar wrapper over the per-chunk counter masks",
     "point_add": "the checked group law; scalar_mul runs the unchecked one",
     "solve_rows_mod256": "the solver's contract: every solution of the rows, expanded",
+}
+
+
+# Defaulted parameters that no program call binds, kept on purpose, with the reason.
+ALLOWED_PARAMETERS = {
+    "imagekit.gen_checkerboard.width": "the generators share one signature; tests draw small boards",
+    "imagekit.gen_checkerboard.height": "the generators share one signature; tests draw small boards",
+    "ecgroup.find_demo_curve.q_start": "the search range that reproduces the frozen DEFAULT_CURVE",
+    "ecgroup.find_demo_curve.q_stop": "the search range that reproduces the frozen DEFAULT_CURVE",
 }
 
 
@@ -71,3 +87,71 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_every_allowed_name_is_still_defined():
     defined = {name for _, name in _public_definitions()}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+def _defaulted_parameters():
+    """(qualified name, called name, position, parameter) for every
+    parameter with a default; position is None for a keyword-only one."""
+    for path, tree in _sources("src/cipher_autopsy"):
+        defs = [(node, node.name, None) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    called = cls.name if item.name == "__init__" else item.name
+                    defs.append((item, called, cls.name))
+        for fn, called, owner in defs:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            skip = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            )  # self or cls is bound by the receiver
+            prefix = f"{path.stem}.{owner}.{fn.name}" if owner else f"{path.stem}.{fn.name}"
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                yield f"{prefix}.{positional[i].arg}", called, i - skip, positional[i].arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}.{arg.arg}", called, None, arg.arg
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _bindings():
+    """Called name -> (positional arguments, keyword names) over every call;
+    None among the keyword names stands for any keyword."""
+    bound = {}
+
+    def bind(name, count, keywords):
+        positions, names = bound.get(name, (0, set()))
+        bound[name] = (max(positions, count), names | keywords)
+
+    for _, tree in _sources("src", "scripts", "bench"):
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+                star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                count = float("inf") if star else len(node.args)
+                bind(_name(node.func), count, {kw.arg for kw in node.keywords})
+        for node in ast.walk(tree):
+            loaded = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            if loaded and id(node) not in called:
+                bind(_name(node), float("inf"), {None})
+    return bound
+
+
+def test_every_defaulted_parameter_is_bound_outside_the_tests():
+    bound = _bindings()
+    unused = []
+    for qualified, called, position, param in _defaulted_parameters():
+        positions, names = bound.get(called, (0, set()))
+        by_position = position is not None and position < positions
+        if not (by_position or {param, None} & names or qualified in ALLOWED_PARAMETERS):
+            unused.append(qualified)
+    assert unused == []
+
+
+def test_every_allowed_parameter_is_still_defined():
+    defined = {qualified for qualified, *_ in _defaulted_parameters()}
+    assert sorted(set(ALLOWED_PARAMETERS) - defined) == []
