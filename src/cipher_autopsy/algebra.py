@@ -114,26 +114,18 @@ def row_coset(a: np.ndarray, b: np.ndarray, t: np.ndarray):
     return None if t.any() else (vx, bx, tx, vy, ty)
 
 
-def coset_pairs(coset, per_y: int = 256) -> np.ndarray:
-    """The pairs of a row_coset in ascending (x, y) order, as an (m, 2)
-    int64 array: every pair, or only the `per_y` smallest x for each y.
+def two_smallest(coset) -> list[tuple[int, int]]:
+    """The two smallest (x, y) pairs of a row_coset in ascending order,
+    fewer when the coset is smaller, none when it is None.
 
     Each y = ty/2^vy + j * 2^(8 - vy) has 2^vx solutions x = x0(y) + k *
-    2^(8 - vx), so with per_y=2 the first two rows are the coset's two
-    smallest pairs.
+    2^(8 - vx), so the two smallest pairs are among the two smallest x of
+    each y.
     """
     if coset is None:
-        return np.empty((0, 2), dtype=np.int64)
+        return []
     vx, bx, tx, vy, ty = coset
     ys = (ty >> vy) + (np.arange(1 << vy) << (8 - vy))
-    xs = ((tx - bx * ys) % 256 >> vx)[:, None] + (np.arange(min(1 << vx, per_y)) << (8 - vx))
-    codes = np.sort((xs * 256 + ys[:, None]).ravel())
-    return np.stack([codes >> 8, codes & 0xFF], axis=1)
-
-
-def solve_rows_mod256(a, b, t) -> np.ndarray:
-    """Every (x, y) with a[i]*x + b[i]*y = t[i] (mod 256) for all rows i,
-    as an ascending (m, 2) int64 array, m = 0 when the rows are inconsistent.
-    """
-    return coset_pairs(row_coset(*(bytes_mod256(r) for r in (a, b, t))))
-
+    xs = ((tx - bx * ys) % 256 >> vx)[:, None] + (np.arange(min(1 << vx, 2)) << (8 - vx))
+    codes = np.sort((xs * 256 + ys[:, None]).ravel())[:2].tolist()
+    return [(c >> 8, c & 0xFF) for c in codes]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Block, bytes_mod256, coset_pairs, row_coset
+from .algebra import Block, bytes_mod256, row_coset, two_smallest
 from .dwc import dwc_decrypt
 from .ecchc import HillKey, expand_key, hill_apply
 from .imagekit import GrayImage, blocks_of
@@ -132,10 +132,10 @@ def _hill_keys(
     for r, t in enumerate((c0 - p2, c1 - p3)):
         extra = [(1 - j, j, v) for j, v in enumerate(known[2 * r : 2 * r + 2]) if v is not None]
         eqs = zip((d0, d1, t), bytes_mod256(extra).reshape(-1, 3).T)
-        rows.append(coset_pairs(row_coset(*(np.concatenate(col) for col in eqs)), 2))
+        rows.append(two_smallest(row_coset(*(np.concatenate(col) for col in eqs))))
     top, bot = rows
     return [
-        tuple(top[i].tolist() + bot[j].tolist())
+        top[i] + bot[j]
         for i, j in ((0, 0), (0, 1), (1, 0))
         if i < len(top) and j < len(bot)
     ][:2]

@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .algebra import GF_INV, GF_MUL, Block
+from .algebra import GF_INV, GF_MUL
 from .imagekit import BadDimensionsError, GrayImage, blocks_of, map_blocks
 
 MIX_ROWS = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
@@ -95,24 +95,13 @@ def _mix_words(tables, blocks: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
 
 
-def ct(p: Block) -> Block:
-    """Core transform of one block: S-box on bytes 0, 1, 3, then the
-    circulant multiply over GF(2^8)."""
-    return tuple(core_transform_blocks(np.array([p], dtype=np.uint8))[0].tolist())
-
-
-def ct_inv(c: Block) -> Block:
-    """Inverse core transform: inverse matrix, then three inverse lookups."""
-    return tuple(core_inverse_blocks(np.array([c], dtype=np.uint8))[0].tolist())
-
-
 def core_transform_blocks(blocks: np.ndarray) -> np.ndarray:
-    """ct over an (n, 4) uint8 array: two pair-table gathers per block."""
+    """CT over an (n, 4) uint8 array: two pair-table gathers per block."""
     return _mix_words(_forward_tables(), blocks)
 
 
 def core_inverse_blocks(blocks: np.ndarray) -> np.ndarray:
-    """ct_inv over an (n, 4) uint8 array: two pair-table gathers for the
+    """CT^-1 over an (n, 4) uint8 array: two pair-table gathers for the
     inverse matrix, then the inverse S-box on every byte, with byte 2 (which
     bypasses the S-box) copied back."""
     mixed = _mix_words(_inverse_tables(), blocks)
@@ -140,13 +129,6 @@ def _masks(start: int, stop: int, key: int) -> np.ndarray:
     masks ^= i & np.uint32(0xFF)
     masks ^= np.uint32(key)
     return masks.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
-
-
-def counter_masks(n: int, key: int) -> np.ndarray:
-    """Per-block 32-bit masks i ^ ((key ^ lsb(i)) << 24) as (n, 4) bytes,
-    byte 0 most significant, i = 1..n."""
-    _check_counter(n, key)
-    return _masks(0, n, key)
 
 
 def dwc_encrypt(img: GrayImage, key: int) -> GrayImage:

@@ -92,14 +92,6 @@ class KeyPair:
 DEFAULT_CURVE = CurveParams(q=1009, a=1, b=79, gx=1, gy=9, order_p=1009)
 
 
-def point_add(p1: EcPoint, p2: EcPoint, curve: CurveParams) -> EcPoint:
-    """Chord-tangent group law, including doubling and inverse cases."""
-    for p in (p1, p2):
-        if not curve.contains(p):
-            raise PointNotOnCurveError(f"{p} not on curve")
-    return _add_unchecked(p1, p2, curve)
-
-
 def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
     """n-fold group sum via double-and-add; n is reduced mod the order."""
     if n < 0:
@@ -118,8 +110,9 @@ def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
 
 
 def _add_unchecked(p1: EcPoint, p2: EcPoint, curve: CurveParams) -> EcPoint:
-    # The group law itself; point_add validates its operands first, and
-    # scalar_mul calls it directly since every intermediate is on the curve.
+    # The chord-tangent group law, doubling and inverses included.  It checks
+    # nothing: scalar_mul checks its point once, and every sum of points on
+    # the curve is on the curve.
     if p1.is_infinity:
         return p2
     if p2.is_infinity:

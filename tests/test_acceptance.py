@@ -6,6 +6,7 @@ import os
 import time
 
 import numpy as np
+from oracles import reference_expectations
 
 from cipher_autopsy import attacks, dwc, ecchc, ecgroup, imagekit, metrics
 
@@ -63,15 +64,15 @@ def test_04_statistical_constants():
     black = imagekit.gen_constant(0)
     noise_a = imagekit.gen_noise(1041)
     noise_b = imagekit.gen_noise(1042)
-    p_black = metrics.psnr(black, noise_a)
-    p_noise = metrics.psnr(noise_a, noise_b)
-    u_black = metrics.uaci(black, noise_a)
-    u_noise = metrics.uaci(noise_a, noise_b)
+    black_row = metrics.evaluate_pair(black, noise_a)
+    noise_row = metrics.evaluate_pair(noise_a, noise_b)
+    p_black, u_black = black_row.psnr_db, black_row.uaci_percent
+    p_noise, u_noise = noise_row.psnr_db, noise_row.uaci_percent
     assert abs(p_black - 4.7627) <= 0.05
     assert abs(p_noise - 7.7476) <= 0.05
     assert abs(u_black - 50.0) <= 0.5
     assert abs(u_noise - 33.4641) <= 0.5
-    refs = metrics.reference_expectations()
+    refs = reference_expectations()
     assert refs["mse_black_random"] == 21717.5
     assert round(refs["psnr_black_random"], 4) == 4.7627
     assert round(refs["psnr_random_random"], 4) == 7.7476
@@ -90,9 +91,10 @@ def test_05_dwc_checkerboard_row():
         t0 = time.perf_counter()
         enc = dwc.dwc_encrypt(board, key)
         times.append(time.perf_counter() - t0)
-        entropies.append(metrics.entropy(enc))
-        psnrs.append(metrics.psnr(board, enc))
-        uacis.append(metrics.uaci(board, enc))
+        row = metrics.evaluate_pair(board, enc)
+        entropies.append(row.entropy_bits)
+        psnrs.append(row.psnr_db)
+        uacis.append(row.uaci_percent)
     mean_entropy = float(np.mean(entropies))
     mean_psnr = float(np.mean(psnrs))
     mean_uaci = float(np.mean(uacis))
@@ -125,8 +127,8 @@ def test_06_photo_rows():
             ("ecchc", ecchc.ecchc_encrypt(photo, hill)),
             ("dwc", dwc.dwc_encrypt(photo, (53 * seed + 29) % 256)),
         ):
-            ent = metrics.entropy(enc)
-            u = metrics.uaci(photo, enc)
+            row = metrics.evaluate_pair(photo, enc)
+            ent, u = row.entropy_bits, row.uaci_percent
             assert ent >= 7.98, (name, seed, ent)
             assert abs(u - 28.0) <= 3.0, (name, seed, u)
     lines = ["synthetic photo: both ciphers entropy >= 7.98, uaci in 28 +/- 3"]
@@ -139,7 +141,8 @@ def test_06_photo_rows():
                 continue
             img = imagekit.load_pgm(os.path.join(fixtures, fname))
             enc = dwc.dwc_encrypt(img, 0x9C)
-            ent = metrics.entropy(enc)
+            row = metrics.evaluate_pair(img, enc)
+            ent = row.entropy_bits
             if stem in TABLE_DWC_ENTROPY:
                 assert abs(ent - TABLE_DWC_ENTROPY[stem]) <= 0.005, (stem, ent)
                 lines.append(
@@ -148,8 +151,8 @@ def test_06_photo_rows():
                         stem,
                         ent,
                         TABLE_DWC_ENTROPY[stem],
-                        metrics.psnr(img, enc) - TABLE_DWC_PSNR[stem],
-                        metrics.uaci(img, enc) - TABLE_DWC_UACI[stem],
+                        row.psnr_db - TABLE_DWC_PSNR[stem],
+                        row.uaci_percent - TABLE_DWC_UACI[stem],
                     )
                 )
             else:
@@ -164,8 +167,10 @@ def test_07_drawing_rows():
     for seed in range(4):
         drawing = imagekit.gen_drawing(seed)
         hill = ecchc.expand_key(_random_mat2(rng))
-        ent_hill = metrics.entropy(ecchc.ecchc_encrypt(drawing, hill))
-        ent_dwc = metrics.entropy(dwc.dwc_encrypt(drawing, int(rng.integers(256))))
+        enc_hill = ecchc.ecchc_encrypt(drawing, hill)
+        enc_dwc = dwc.dwc_encrypt(drawing, int(rng.integers(256)))
+        ent_hill = metrics.evaluate_pair(drawing, enc_hill).entropy_bits
+        ent_dwc = metrics.evaluate_pair(drawing, enc_dwc).entropy_bits
         assert ent_hill < 3.0, (seed, ent_hill)
         assert ent_dwc >= 7.99, (seed, ent_dwc)
     print("ACCEPTANCE 07 PASS: drawing ciphertext entropy hill < 3.0, dwc >= 7.99 (4 seeds)")

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import solve_rows_mod256
 
 from cipher_autopsy import attacks
-from cipher_autopsy.algebra import solve_rows_mod256
 from cipher_autopsy.attacks import (
     AttackStatus,
     KeyMask,

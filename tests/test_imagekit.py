@@ -28,7 +28,7 @@ from cipher_autopsy.imagekit import (
     save_pgm,
     unblocks,
 )
-from cipher_autopsy.metrics import entropy
+from cipher_autopsy.metrics import evaluate_pair
 
 
 def _saved_bytes(img):
@@ -287,7 +287,8 @@ def test_read_pgm_matches_the_byte_at_a_time_oracle(data):
 
 
 def test_checkerboard_entropy_exactly_one():
-    assert entropy(gen_checkerboard()) == 1.0
+    board = gen_checkerboard()
+    assert evaluate_pair(board, board).entropy_bits == 1.0
 
 
 def test_checkerboard_blocks_are_constant():
@@ -308,7 +309,7 @@ def test_checkerboard_bad_cells(cell):
 
 def test_constant_properties():
     img = gen_constant(0)
-    assert entropy(img) == 0.0
+    assert evaluate_pair(img, img).entropy_bits == 0.0
     assert img.pixels.min() == img.pixels.max() == 0
     with pytest.raises(ValueError):
         gen_constant(256)
@@ -317,7 +318,8 @@ def test_constant_properties():
 def test_noise_determinism_and_entropy():
     assert gen_noise(9) == gen_noise(9)
     assert gen_noise(9) != gen_noise(10)
-    assert entropy(gen_noise(9)) >= 7.99
+    noise = gen_noise(9)
+    assert evaluate_pair(noise, noise).entropy_bits >= 7.99
 
 
 @pytest.mark.parametrize("width,height", [(17, 18), (18, 17), (12, 12)])
@@ -348,7 +350,7 @@ def test_drawing_regime():
         assert img == gen_drawing(seed)
         background = np.count_nonzero(img.pixels == 255) / img.size
         assert background >= 0.90
-        assert entropy(img) < 2.0
+        assert evaluate_pair(img, img).entropy_bits < 2.0
         assert len(np.unique(img.pixels)) <= 4  # background plus 3 ink levels
 
 
@@ -358,7 +360,7 @@ def test_photo_determinism_and_shape():
     assert img.width == img.height == 256
     # photograph-like: lots of levels, mid-heavy histogram
     assert len(np.unique(img.pixels)) > 128
-    assert 5.5 < entropy(img) < 8.0
+    assert 5.5 < evaluate_pair(img, img).entropy_bits < 8.0
 
 
 # --- generators against the full-grid formulas ---------------------------------

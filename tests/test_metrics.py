@@ -3,92 +3,89 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_expectations
 
 from cipher_autopsy.imagekit import GrayImage, gen_constant, gen_noise
-from cipher_autopsy.metrics import (
-    DimensionMismatchError,
-    EmptyImageError,
-    entropy,
-    evaluate_pair,
-    mse,
-    psnr,
-    reference_expectations,
-    uaci,
-)
+from cipher_autopsy.metrics import DimensionMismatchError, EmptyImageError, evaluate_pair
 
 
 def test_entropy_constant_image():
-    assert entropy(gen_constant(0)) == 0.0
-    assert entropy(gen_constant(200)) == 0.0
+    for value in (0, 200):
+        img = gen_constant(value)
+        assert evaluate_pair(img, img).entropy_bits == 0.0
 
 
 def test_entropy_two_level_half_half():
     half = np.zeros((256, 256), dtype=np.uint8)
     half[128:, :] = 255
-    assert entropy(GrayImage(half)) == 1.0
+    img = GrayImage(half)
+    assert evaluate_pair(img, img).entropy_bits == 1.0
 
 
 def test_entropy_uniform_histogram_is_exactly_8():
     # each value exactly 256 times in a 256x256 image
     flat = np.repeat(np.arange(256, dtype=np.uint8), 256)
-    assert entropy(GrayImage(flat.reshape(256, 256))) == 8.0
+    img = GrayImage(flat.reshape(256, 256))
+    assert evaluate_pair(img, img).entropy_bits == 8.0
 
 
 def test_entropy_empty_image():
     with pytest.raises(EmptyImageError):
-        entropy(GrayImage(np.zeros((0, 4), dtype=np.uint8)))
+        empty = GrayImage(np.zeros((0, 4), dtype=np.uint8))
+        evaluate_pair(empty, empty)
 
 
 def test_entropy_is_permutation_invariant():
     img = gen_noise(30)
     shuffled = img.pixels.ravel().copy()
     np.random.default_rng(31).shuffle(shuffled)
-    assert entropy(img) == entropy(GrayImage(shuffled.reshape(256, 256)))
+    other = GrayImage(shuffled.reshape(256, 256))
+    assert evaluate_pair(img, img).entropy_bits == evaluate_pair(other, other).entropy_bits
 
 
 def test_mse_identical_and_extremes():
     img = gen_noise(32)
-    assert mse(img, img) == 0.0
-    assert mse(gen_constant(0), gen_constant(255)) == 255.0**2
+    assert evaluate_pair(img, img).mse == 0.0
+    assert evaluate_pair(gen_constant(0), gen_constant(255)).mse == 255.0**2
 
 
 def test_mse_black_vs_noise_converges():
-    value = mse(gen_constant(0), gen_noise(33))
+    value = evaluate_pair(gen_constant(0), gen_noise(33)).mse
     assert abs(value - 21717.5) < 300
 
 
 def test_psnr_identical_is_infinite():
     img = gen_noise(34)
-    assert math.isinf(psnr(img, img))
+    assert math.isinf(evaluate_pair(img, img).psnr_db)
 
 
 def test_psnr_black_vs_noise():
-    assert abs(psnr(gen_constant(0), gen_noise(35)) - 4.7627) <= 0.05
+    assert abs(evaluate_pair(gen_constant(0), gen_noise(35)).psnr_db - 4.7627) <= 0.05
 
 
 def test_psnr_noise_vs_noise():
-    assert abs(psnr(gen_noise(36), gen_noise(37)) - 7.7476) <= 0.05
+    assert abs(evaluate_pair(gen_noise(36), gen_noise(37)).psnr_db - 7.7476) <= 0.05
 
 
 def test_uaci_identical_and_references():
     img = gen_noise(38)
-    assert uaci(img, img) == 0.0
-    assert abs(uaci(gen_constant(0), gen_noise(39)) - 50.0) <= 0.5
-    assert abs(uaci(gen_noise(40), gen_noise(41)) - 33.4641) <= 0.5
+    assert evaluate_pair(img, img).uaci_percent == 0.0
+    assert abs(evaluate_pair(gen_constant(0), gen_noise(39)).uaci_percent - 50.0) <= 0.5
+    assert abs(evaluate_pair(gen_noise(40), gen_noise(41)).uaci_percent - 33.4641) <= 0.5
 
 
 def test_symmetry():
     a, b = gen_noise(42), gen_noise(43)
-    assert mse(a, b) == mse(b, a)
-    assert uaci(a, b) == uaci(b, a)
+    assert evaluate_pair(a, b).mse == evaluate_pair(b, a).mse
+    assert evaluate_pair(a, b).uaci_percent == evaluate_pair(b, a).uaci_percent
 
 
 def test_dimension_mismatch():
     a = gen_noise(44)
     b = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    for fn in (mse, psnr, uaci):
+    for pair in ((a, b), (b, a)):
         with pytest.raises(DimensionMismatchError):
-            fn(a, b)
+            evaluate_pair(*pair)
 
 
 def test_reference_expectations_match_headline_constants():

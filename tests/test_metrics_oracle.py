@@ -14,11 +14,7 @@ from cipher_autopsy.metrics import (
     DimensionMismatchError,
     EmptyImageError,
     MetricsReport,
-    entropy,
     evaluate_pair,
-    mse,
-    psnr,
-    uaci,
 )
 
 # --- oracle ---------------------------------------------------------------------
@@ -99,10 +95,6 @@ def test_every_field_matches_the_oracle_bit_for_bit(pair):
     for field in ("entropy_bits", "psnr_db", "uaci_percent", "mse"):
         assert _same(getattr(got, field), getattr(want, field)), field
     assert got.to_json_dict() == want.to_json_dict()
-    assert _same(entropy(b), _oracle_entropy(b))
-    assert _same(mse(a, b), _oracle_mse(a, b))
-    assert _same(psnr(a, b), _oracle_psnr(a, b))
-    assert _same(uaci(a, b), _oracle_uaci(a, b))
 
 
 def test_identical_pair_gives_infinite_psnr():
@@ -122,7 +114,7 @@ def test_extreme_pair_matches_oracle():
 def _raised(fn, *args):
     try:
         fn(*args)
-    except (EmptyImageError, DimensionMismatchError, ZeroDivisionError) as exc:
+    except (EmptyImageError, DimensionMismatchError) as exc:
         return type(exc)
     return None
 
@@ -148,8 +140,6 @@ def test_errors_come_in_the_oracle_order(plain, transformed):
     assert _raised(evaluate_pair, plain, transformed) == _raised(
         _oracle_report, plain, transformed
     )
-    for fn, oracle in ((mse, _oracle_mse), (psnr, _oracle_psnr), (uaci, _oracle_uaci)):
-        assert _raised(fn, plain, transformed) == _raised(oracle, plain, transformed)
 
 
 def test_empty_transformed_raises_empty_image_error():
@@ -173,7 +163,6 @@ def test_pixel_counts_at_the_chunk_edge_match_oracle(n):
     a = GrayImage(rng.integers(0, 256, (1, n), dtype=np.uint8))
     b = GrayImage(rng.integers(0, 256, (1, n), dtype=np.uint8))
     assert evaluate_pair(a, b) == _oracle_report(a, b)
-    assert _same(entropy(b), _oracle_entropy(b))
 
 
 def test_extreme_multi_chunk_pair_matches_oracle_in_both_orders():
@@ -184,4 +173,3 @@ def test_extreme_multi_chunk_pair_matches_oracle_in_both_orders():
     for a, b in ((black, white), (white, black)):
         assert evaluate_pair(a, b) == _oracle_report(a, b)
         assert evaluate_pair(a, b).uaci_percent == 100.0
-        assert _same(entropy(b), _oracle_entropy(b))

@@ -2,14 +2,17 @@
 outside the tests, and so does every defaulted parameter.
 
 A public name that only tests load is a second copy of work the program
-does elsewhere, or dead code.  The check reads the syntax tree: a name
-counts as used when src/, scripts/ or bench/ loads it as a bare name, as
-an attribute or through an import.  Comments and docstrings do not count,
-so mentioning a name in prose does not keep it alive.  The match is by
-name alone, so a method shares its liveness with any attribute of the
-same name.  The scan matches method names, not receivers, so a common
-name such as `format` or `size` can hide a dead method: `str.format` in
-cli.py kept `KeyMask.format` alive with only a test calling it.
+does elsewhere, or dead code.  The check reads the syntax tree of src/,
+scripts/ and bench/.  Comments and docstrings do not count, so mentioning
+a name in prose does not keep it alive.  A module-level function or class
+counts as used only when it is loaded as a bare name, imported by name, or
+read as an attribute of a package module name (`metrics.evaluate_pair`).
+So `report.mse`, a read of the MetricsReport field, does not keep a
+function `metrics.mse` alive, as it once did.  A method is matched by
+name alone, since its receiver's type is not in the tree: any attribute
+of the same name keeps it alive, and a common name such as `format` can
+hide a dead method (`str.format` in cli.py once kept `KeyMask.format`
+alive with only a test calling it).
 
 A defaulted parameter that no call outside the tests binds is an option
 only tests set.  Calls are matched to definitions by name in the same way,
@@ -24,19 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Public surface kept on purpose, with the reason.
-ALLOWED = {
-    "entropy": "metric API: the single-image figure of the comparison table",
-    "psnr": "metric API: one figure of evaluate_pair's report",
-    "uaci": "metric API: one figure of evaluate_pair's report",
-    "reference_expectations": "metric API: the closed-form calibration constants",
-    "ct": "thin scalar wrapper over core_transform_blocks",
-    "ct_inv": "thin scalar wrapper over core_inverse_blocks",
-    "counter_masks": "thin scalar wrapper over the per-chunk counter masks",
-    "point_add": "the checked group law; scalar_mul runs the unchecked one",
-    "solve_rows_mod256": "the solver's contract: every solution of the rows, expanded",
-}
-
+# The package's module names: a module-level definition is used through one of these.
+MODULES = {path.stem for path in (ROOT / "src/cipher_autopsy").glob("*.py")}
 
 # Defaulted parameters that no program call binds, kept on purpose, with the reason.
 ALLOWED_PARAMETERS = {
@@ -54,39 +46,43 @@ def _sources(*dirs):
 
 
 def _public_definitions():
+    """(qualified name, name, whether it is a method) of every public definition."""
     for path, tree in _sources("src/cipher_autopsy"):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{path.stem}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, True
 
 
-def _loaded_names():
-    names = set()
+def _used_names():
+    """The names a module-level definition can be used by, and the names a
+    method can be used by (those plus every attribute read)."""
+    module_level, attributes = set(), set()
     for _, tree in _sources("src", "scripts", "bench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+                module_level.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                attributes.add(node.attr)
+                if _name(node.value) in MODULES:
+                    module_level.add(node.attr)
             elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-    return names
+                module_level.add(node.name.rsplit(".", 1)[-1])
+    return module_level, module_level | attributes
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    loaded = _loaded_names()
-    unused = [q for q, name in _public_definitions() if name not in loaded and name not in ALLOWED]
+    module_level, any_name = _used_names()
+    unused = [
+        qualified
+        for qualified, name, method in _public_definitions()
+        if name not in (any_name if method else module_level)
+    ]
     assert unused == []
-
-
-def test_every_allowed_name_is_still_defined():
-    defined = {name for _, name in _public_definitions()}
-    assert sorted(set(ALLOWED) - defined) == []
 
 
 def _defaulted_parameters():
