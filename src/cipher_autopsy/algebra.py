@@ -19,12 +19,7 @@ GF_POLY = 0x11B
 # Type aliases: bytes are plain ints in [0, 255]; matrices are row-major
 # tuples so keys stay hashable and immutable.
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-Mat4 = tuple[tuple[int, int, int, int], ...]
 Block = tuple[int, int, int, int]
-
-
-class ZeroInverseError(ValueError):
-    """The byte has no multiplicative inverse: an even byte mod 256."""
 
 
 def _gf_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -45,26 +40,6 @@ def _gf_tables() -> tuple[np.ndarray, np.ndarray]:
 # GF_MUL[a, b] is the field product a*b; GF_INV[a] is 1/a, with 0 mapped to 0.
 GF_MUL, GF_INV = _gf_tables()
 GF_MUL.flags.writeable = GF_INV.flags.writeable = False
-
-
-def mod256_inv(a: int) -> int:
-    """Inverse of a unit in Z/256; only odd bytes qualify."""
-    if a % 2 == 0:
-        raise ZeroInverseError("even bytes are zero divisors mod 256")
-    return pow(a, -1, 256)
-
-
-MAT4_IDENTITY: Mat4 = tuple(
-    tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
-)
-
-
-def mat4_mul_mod256(x: Mat4, y: Mat4) -> Mat4:
-    """4x4 matrix product over Z/256."""
-    return tuple(
-        tuple(sum(x[i][t] * y[t][j] for t in range(4)) % 256 for j in range(4))
-        for i in range(4)
-    )
 
 
 # 2-adic valuation of every byte; 0 counts as 8 (a multiple of 2^8 = 256).
@@ -91,7 +66,7 @@ def _eliminate(col: np.ndarray, rest: list[np.ndarray]):
     if v == 8:
         return 8, [0] * len(rest), rest
     p = int(np.argmax(col & (1 << v)))  # the first row of valuation exactly v
-    unit_inv = mod256_inv(int(col[p]) >> v)
+    unit_inv = pow(int(col[p]) >> v, -1, 256)  # odd: v is the least valuation
     pivot = [unit_inv * int(r[p]) % 256 for r in rest]
     f = col >> v
     cleared = [np.append(r - f * q, np.uint8(q << (8 - v) & 255)) for r, q in zip(rest, pivot)]

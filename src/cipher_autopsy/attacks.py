@@ -91,10 +91,6 @@ class KeyMask:
             slots.append(None if chunk == "??" else int(chunk, 16))
         return cls(values=(slots[0], slots[1], slots[2], slots[3]))
 
-    @classmethod
-    def all_unknown(cls) -> "KeyMask":
-        return cls(values=(None, None, None, None))
-
     @property
     def unknown_positions(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v is None)
@@ -176,7 +172,7 @@ def kpa_recover_hill_key(samples: Sequence[KpaSample]) -> AttackOutcome:
 def brute_force_hill(
     plain: GrayImage,
     cipher: GrayImage,
-    mask: KeyMask | None = None,
+    mask: KeyMask,
     *,
     allow_full_search: bool = False,
 ) -> AttackOutcome:
@@ -198,7 +194,6 @@ def brute_force_hill(
     start = time.perf_counter()
     if plain.pixels.shape != cipher.pixels.shape:
         raise DimensionMismatchError("plaintext/ciphertext size mismatch")
-    mask = mask or KeyMask.all_unknown()
     if len(mask.unknown_positions) == 4 and not allow_full_search:
         raise SearchRefusedError(
             "full 2^32 search refused; pass allow_full_search=True"
@@ -306,9 +301,7 @@ class FixedPointCensus:
     sampled_fixed: list[Block] = field(default_factory=list)
 
 
-def fixed_point_census(
-    key: HillKey, sample_count: int = 4096, seed: int = 0
-) -> FixedPointCensus:
+def fixed_point_census(key: HillKey, sample_count: int, seed: int) -> FixedPointCensus:
     """Verify the 256 structurally guaranteed fixed points (p, p, p, p)
     and probe the blocks default_rng(seed).integers(0, 256, (sample_count,
     4)) draws for additional ones.  They are read off the raw stream: a

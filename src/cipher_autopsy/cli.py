@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from . import algebra, attacks, dwc, ecchc, ecgroup, imagekit, metrics
+from . import attacks, dwc, ecchc, ecgroup, imagekit, metrics
 
 FIXTURES_ENV = "CIPHER_AUTOPSY_FIXTURES"
 
@@ -93,7 +93,10 @@ def cmd_keygen(args) -> int:
     curve = ecgroup.DEFAULT_CURVE
     alice, bob, k_i, k = ecgroup.agree(args.seed)
     key = ecchc.expand_key(k)
-    self_inverse = algebra.mat4_mul_mod256(key.km, key.km) == algebra.MAT4_IDENTITY
+    # The image of the unit block e_j is column j of the block matrix.
+    eye = np.eye(4, dtype=np.uint8)
+    images = ecchc.hill_apply(eye, key.k)
+    self_inverse = np.array_equal(ecchc.hill_apply(images, key.k), eye)
     _emit(
         {
             "curve": {
@@ -107,7 +110,7 @@ def cmd_keygen(args) -> int:
             "bob": {"private": bob.private_n, "public": [bob.public_p.x, bob.public_p.y]},
             "shared_point": [k_i.x, k_i.y],
             "k": [list(row) for row in key.k],
-            "km": [list(row) for row in key.km],
+            "km": images.T.tolist(),
             "key_hex": key.key_hex,
             "km_self_inverse": self_inverse,
         },

@@ -1,5 +1,6 @@
-"""Hill-cipher layer: a 2x2 byte matrix expands into a self-invertible 4x4
-block matrix that encrypts and decrypts images in ECB fashion.
+"""Hill-cipher layer: a 2x2 byte matrix K keys the self-invertible 4x4
+block matrix [[K, I-K], [I+K, -K]] mod 256, which encrypts and decrypts
+images in ECB fashion.
 
 Self-invertibility makes encryption and decryption the same multiply, but
 it also forces structure.  Split a block into halves p_top = (p0, p1) and
@@ -9,8 +10,9 @@ p_bot = (p2, p3) and let d = p_top - p_bot; the block matrix then reads
 
 So c_bot - c_top = d under every key, every block (p, p, p, p) is a fixed
 point of every key, and each row of K meets the data in one linear
-equation per block.  hill_apply computes the layer in this form; the
-attack module leans on all three facts.
+equation per block.  hill_apply is the one statement of the layer, in
+this form; the 4x4 matrix is never stored.  The attack module leans on
+all three facts.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Block, Mat2, Mat4
+from .algebra import Mat2
 from .imagekit import BadDimensionsError, GrayImage, map_blocks
 
 
 @dataclass(frozen=True)
 class HillKey:
-    """The 2x2 matrix k and its expanded self-invertible 4x4 matrix km."""
+    """The 2x2 key matrix k, with entries reduced mod 256."""
 
     k: Mat2
-    km: Mat4
 
     @property
     def key_hex(self) -> str:
@@ -47,20 +48,10 @@ class HillKey:
 
 
 def expand_key(k: Mat2) -> HillKey:
-    """Assemble the block matrix [[K, I-K], [I+K, -K]] mod 256.
-
-    The expansion squares to the identity for every K, so one matrix both
-    encrypts and decrypts (and the effective key is just the 4 bytes of K).
-    """
+    """The key of K mod 256.  The block matrix squares to the identity for
+    every K, so one multiply both encrypts and decrypts."""
     (k11, k12), (k21, k22) = ((v % 256 for v in row) for row in k)
-    key = ((k11, k12), (k21, k22))
-    km = (
-        (k11, k12, (1 - k11) % 256, (-k12) % 256),
-        (k21, k22, (-k21) % 256, (1 - k22) % 256),
-        ((1 + k11) % 256, k12, (-k11) % 256, (-k12) % 256),
-        (k21, (1 + k22) % 256, (-k21) % 256, (-k22) % 256),
-    )
-    return HillKey(k=key, km=km)
+    return HillKey(k=((k11, k12), (k21, k22)))
 
 
 def hill_apply(blocks: np.ndarray, k: Mat2) -> np.ndarray:
@@ -74,11 +65,6 @@ def hill_apply(blocks: np.ndarray, k: Mat2) -> np.ndarray:
     return np.stack([p2 + kd0, p3 + kd1, p0 + kd0, p1 + kd1], axis=1)
 
 
-def encrypt_block(key: HillKey, block: Block) -> Block:
-    """Single-block transform; scalar path used by the attack tooling."""
-    return tuple(hill_apply(np.array([block], dtype=np.uint8), key.k)[0].tolist())
-
-
 def _require_even_dims(img: GrayImage) -> None:
     if img.width % 2 or img.height % 2:
         raise BadDimensionsError(
@@ -87,11 +73,11 @@ def _require_even_dims(img: GrayImage) -> None:
 
 
 def ecchc_encrypt(img: GrayImage, key: HillKey) -> GrayImage:
-    """ECB encryption: every canonical block is multiplied by km mod 256."""
+    """ECB encryption: hill_apply on every canonical block."""
     _require_even_dims(img)
     return map_blocks(img, lambda b, _: hill_apply(b, key.k))
 
 
 def ecchc_decrypt(img: GrayImage, key: HillKey) -> GrayImage:
-    """Identical multiply: km is its own inverse mod 256."""
+    """Identical multiply: the block matrix is its own inverse mod 256."""
     return ecchc_encrypt(img, key)

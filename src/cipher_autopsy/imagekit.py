@@ -55,12 +55,6 @@ class GrayImage:
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
-    @classmethod
-    def from_bytes(cls, data: bytes, width: int, height: int) -> "GrayImage":
-        if len(data) != width * height:
-            raise ValueError("pixel payload does not match dimensions")
-        return cls(np.frombuffer(data, dtype=np.uint8).reshape(height, width))
-
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
@@ -98,14 +92,6 @@ def blocks_of(img: GrayImage) -> np.ndarray:
     return img.pixels.reshape(-1, 4)
 
 
-def unblocks(blocks: np.ndarray, width: int, height: int) -> GrayImage:
-    """Inverse of blocks_of: reassemble the raster in order."""
-    flat = np.ascontiguousarray(blocks, dtype=np.uint8).reshape(-1)
-    if flat.size != width * height:
-        raise BadDimensionsError("block payload does not match dimensions")
-    return GrayImage(flat.reshape(height, width))
-
-
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
 
 
@@ -122,7 +108,7 @@ def map_blocks(
     out = np.empty_like(blocks)
     for start in range(0, len(blocks), MAP_CHUNK):
         out[start : start + MAP_CHUNK] = kernel(blocks[start : start + MAP_CHUNK], start)
-    return unblocks(out, img.width, img.height)
+    return GrayImage(out.reshape(img.height, img.width))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +173,7 @@ def read_pgm(data: bytes) -> GrayImage:
         raise MalformedHeaderError("non-numeric sample") from exc
     if any(v < 0 or v > 255 for v in values):
         raise MalformedHeaderError("sample out of range for maxval 255")
-    return GrayImage.from_bytes(bytes(values), width, height)
+    return GrayImage(np.frombuffer(bytes(values), dtype=np.uint8).reshape(height, width))
 
 
 def load_pgm(path) -> GrayImage:
@@ -223,8 +209,9 @@ def gen_checkerboard(cell: int = 32, width: int = 256, height: int = 256) -> Gra
         raise BadCellSizeError(
             f"cell {cell} must be a positive multiple of 4 dividing {width}x{height}"
         )
-    parity = (np.arange(height)[:, None] // cell + np.arange(width) // cell) % 2
-    return GrayImage((parity * 255).astype(np.uint8))
+    row_parity = (np.arange(height) // cell % 2).astype(np.uint8)
+    col_parity = (np.arange(width) // cell % 2).astype(np.uint8)
+    return GrayImage((row_parity[:, None] ^ col_parity) * np.uint8(255))
 
 
 def gen_constant(value: int, width: int = 256, height: int = 256) -> GrayImage:

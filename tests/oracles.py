@@ -1,6 +1,6 @@
 """Reference forms shared by several test files: the closed-form metric
-expectations of the calibration pairs, and the full expansion of a
-Z/256 row coset."""
+expectations of the calibration pairs, the full expansion of a Z/256 row
+coset, and the Hill layer's 4x4 block matrix written out entry by entry."""
 
 import math
 
@@ -28,6 +28,19 @@ def reference_expectations() -> dict[str, float]:
         "uaci_black_random": 100 * (sum(range(256)) / 256) / 255,
         "uaci_random_random": 100 * 256 / (3 * 255),
     }
+
+
+def block_matrix(k) -> tuple[tuple[int, int, int, int], ...]:
+    """The self-invertible block matrix [[K, I-K], [I+K, -K]] mod 256 of the
+    2x2 key k, entry by entry, as row-major tuples; the program never builds
+    it, and hill_apply's difference form is held against it."""
+    (k11, k12), (k21, k22) = ((v % 256 for v in row) for row in k)
+    return (
+        (k11, k12, (1 - k11) % 256, (-k12) % 256),
+        (k21, k22, (-k21) % 256, (1 - k22) % 256),
+        ((1 + k11) % 256, k12, (-k11) % 256, (-k12) % 256),
+        (k21, (1 + k22) % 256, (-k21) % 256, (-k22) % 256),
+    )
 
 
 def coset_pairs(coset) -> np.ndarray:

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from oracles import block_matrix
 
 from cipher_autopsy import cli, ecgroup
 from cipher_autopsy.attacks import KeyMask, KeyNotFoundError
 from cipher_autopsy.dwc import dwc_encrypt
 from cipher_autopsy.ecgroup import DegenerateDerivedPointError, EcPoint
-from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, encrypt_block, expand_key
+from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, expand_key, hill_apply
 from cipher_autopsy.imagekit import (
     blocks_of,
     gen_checkerboard,
@@ -156,6 +157,14 @@ def test_keygen_deterministic(capsys):
     assert np.array_equal((km @ km) % 256, np.eye(4, dtype=np.int64))
 
 
+def test_keygen_km_is_the_block_matrix(capsys):
+    for seed in range(64):
+        code, doc = run_json(capsys, "keygen", "--seed", str(seed))
+        assert code == 0
+        assert doc["km"] == [list(row) for row in block_matrix(doc["k"])]
+        assert doc["km_self_inverse"] is True
+
+
 # keygen --seed s stdout, recorded before the agreement moved into
 # ecgroup.agree; each is stored compact and re-indented as _emit prints it
 KEYGEN_STDOUT = {
@@ -253,11 +262,8 @@ def test_report_picks_up_fixture_dir(tmp_path, capsys, monkeypatch):
 def test_attack_kpa_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(72)
     key = expand_key(((0x21, 0x43), (0x65, 0x87)))
-    lines = []
-    for _ in range(10):
-        p = tuple(int(x) for x in rng.integers(0, 256, 4))
-        c = encrypt_block(key, p)
-        lines.append(bytes(p).hex() + bytes(c).hex())
+    plains = np.array([rng.integers(0, 256, 4) for _ in range(10)], dtype=np.uint8)
+    lines = [p.tobytes().hex() + c.tobytes().hex() for p, c in zip(plains, hill_apply(plains, key.k))]
     path = tmp_path / "samples.txt"
     path.write_text("# planted pairs\n" + "\n".join(lines) + "\n")
     code, doc = run_json(capsys, "attack", "kpa", "--in", str(path))
@@ -269,9 +275,9 @@ def test_attack_kpa_round_trip(tmp_path, capsys):
 def test_attack_kpa_ambiguous_exit(tmp_path, capsys):
     path = tmp_path / "samples.txt"
     key = expand_key(((5, 6), (7, 8)))
-    p = (9, 9, 9, 9)
-    c = encrypt_block(key, p)
-    path.write_text((bytes(p).hex() + bytes(c).hex() + "\n") * 3)
+    p = np.array([(9, 9, 9, 9)], dtype=np.uint8)
+    c = hill_apply(p, key.k)
+    path.write_text((p.tobytes().hex() + c.tobytes().hex() + "\n") * 3)
     code, doc = run_json(capsys, "attack", "kpa", "--in", str(path))
     assert code == cli.EXIT_ATTACK
     assert doc["status"] == "ambiguous"

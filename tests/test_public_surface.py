@@ -20,6 +20,11 @@ and a call to a class binds that class's __init__.  A function that is
 loaded as a value, not called on the spot (bench/workloads.py keeps the
 image generators in a dict), may be called with any arguments, so all of
 its parameters count as bound.
+
+The mirror case is a default that every program call overrides: only
+tests rely on it, so the value is a second copy of one the program keeps
+elsewhere, such as an argparse default.  A function loaded as a value may
+be called with no arguments, so it relies on every default.
 """
 
 import ast
@@ -113,15 +118,12 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def _bindings():
-    """Called name -> (positional arguments, keyword names) over every call;
-    None among the keyword names stands for any keyword."""
-    bound = {}
-
-    def bind(name, count, keywords):
-        positions, names = bound.get(name, (0, set()))
-        bound[name] = (max(positions, count), names | keywords)
-
+def _calls():
+    """Called name -> the (positional arguments, keyword names) of each call,
+    and the set of names loaded as a value.  A starred argument counts as
+    any number of positional ones, and None among the keyword names, from
+    a **mapping, stands for any keyword."""
+    calls, loaded = {}, set()
     for _, tree in _sources("src", "scripts", "bench"):
         called = set()
         for node in ast.walk(tree):
@@ -129,23 +131,37 @@ def _bindings():
                 called.add(id(node.func))
                 star = any(isinstance(arg, ast.Starred) for arg in node.args)
                 count = float("inf") if star else len(node.args)
-                bind(_name(node.func), count, {kw.arg for kw in node.keywords})
+                calls.setdefault(_name(node.func), []).append((count, {kw.arg for kw in node.keywords}))
         for node in ast.walk(tree):
-            loaded = isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-            if loaded and id(node) not in called:
-                bind(_name(node), float("inf"), {None})
-    return bound
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                if id(node) not in called:
+                    loaded.add(_name(node))
+    return calls, loaded
+
+
+def _binds(call, position, param) -> bool:
+    count, keywords = call
+    return (position is not None and position < count) or bool({param, None} & keywords)
 
 
 def test_every_defaulted_parameter_is_bound_outside_the_tests():
-    bound = _bindings()
+    calls, loaded = _calls()
     unused = []
     for qualified, called, position, param in _defaulted_parameters():
-        positions, names = bound.get(called, (0, set()))
-        by_position = position is not None and position < positions
-        if not (by_position or {param, None} & names or qualified in ALLOWED_PARAMETERS):
+        bound = called in loaded or any(_binds(c, position, param) for c in calls.get(called, ()))
+        if not (bound or qualified in ALLOWED_PARAMETERS):
             unused.append(qualified)
     assert unused == []
+
+
+def test_every_default_is_relied_on_by_a_program_call():
+    calls, loaded = _calls()
+    overridden = [
+        qualified
+        for qualified, called, position, param in _defaulted_parameters()
+        if called not in loaded and all(_binds(c, position, param) for c in calls.get(called, ()))
+    ]
+    assert overridden == []
 
 
 def test_every_allowed_parameter_is_still_defined():
