@@ -65,11 +65,16 @@ def _eliminate(col: np.ndarray, rest: list[np.ndarray]):
     v = int(_VAL[np.bitwise_or.reduce(col)])  # the least valuation is the OR's
     if v == 8:
         return 8, [0] * len(rest), rest
-    p = int(np.argmax(col & (1 << v)))  # the first row of valuation exactly v
+    p = int((col & (1 << v)).argmax())  # the first row of valuation exactly v
     unit_inv = pow(int(col[p]) >> v, -1, 256)  # odd: v is the least valuation
     pivot = [unit_inv * int(r[p]) % 256 for r in rest]
     f = col >> v
-    cleared = [np.append(r - f * q, np.uint8(q << (8 - v) & 255)) for r, q in zip(rest, pivot)]
+    cleared = []
+    for r, q in zip(rest, pivot):
+        row = np.empty(len(r) + 1, dtype=np.uint8)
+        np.subtract(r, f * q, out=row[:-1])
+        row[-1] = q << (8 - v) & 255
+        cleared.append(row)
     return v, pivot, cleared
 
 

@@ -120,21 +120,23 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_cipher(args) -> int:
-    img = imagekit.load_pgm(getattr(args, "in"))
-    if args.alg == "ecchc":
-        key = _parse_key(ecchc.HillKey.from_hex, args.key, "hill key")
-        fn = ecchc.ecchc_encrypt if args.forward else ecchc.ecchc_decrypt
-    else:
-        key = _parse_key(_dwc_byte, args.key, "dwc key")
-        fn = dwc.dwc_encrypt if args.forward else dwc.dwc_decrypt
-    imagekit.save_pgm(fn(img, key), args.out)
+    """Streams the pixels file -> kernel -> file, one chunk at a time, after
+    every check on the input, the key and the dimensions has passed."""
+    with imagekit.open_pgm(getattr(args, "in")) as src:
+        if args.alg == "ecchc":
+            key = _parse_key(ecchc.HillKey.from_hex, args.key, "hill key")
+            kernel = ecchc.ecchc_kernel
+        else:
+            key = _parse_key(_dwc_byte, args.key, "dwc key")
+            kernel = dwc.dwc_encrypt_kernel if args.forward else dwc.dwc_decrypt_kernel
+        chunks = imagekit.map_chunks(src, kernel(src, key))
+        imagekit.write_pgm(args.out, src.width, src.height, chunks)
     return 0
 
 
 def cmd_metrics(args) -> int:
-    plain = imagekit.load_pgm(getattr(args, "in"))
-    enc = imagekit.load_pgm(args.enc)
-    report = metrics.evaluate_pair(plain, enc)
+    with imagekit.open_pgm(getattr(args, "in")) as plain, imagekit.open_pgm(args.enc) as enc:
+        report = metrics.evaluate_pair(plain, enc)
     row = {"algorithm": args.alg or "-", "image": args.image or "-"}
     row.update(report.to_json_dict())
     if args.format == "csv":

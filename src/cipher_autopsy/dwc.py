@@ -15,11 +15,11 @@ fold into one 256-entry table of 32-bit words, and the tables of bytes
 (0, 1) and of bytes (2, 3) are XORed together into two 65536-entry pair
 tables.  A block, read as two little-endian uint16 halves, then costs two
 word gathers and one XOR.  CT^-1 gathers through the inverse matrix's
-pair tables, then applies the 8-bit inverse S-box to every byte and puts
-byte 2 back.  The tables come from the field's log/antilog tables
+pair tables, then through two byte-pair tables of the inverse S-box (the
+second passes byte 2 through).  The tables come from the field's log/antilog tables
 (algebra.GF_MUL, algebra.GF_INV), each direction's on its first use.
-Encryption and decryption run through imagekit.map_blocks, one
-cache-sized chunk of blocks at a time.
+Encryption and decryption are chunk kernels for imagekit.map_chunks,
+which feeds them one cache-sized chunk of blocks at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 import numpy as np
 
 from .algebra import GF_INV, GF_MUL
-from .imagekit import BadDimensionsError, GrayImage, blocks_of, map_blocks
+from .imagekit import BadDimensionsError, GrayImage, Kernel, block_count, map_blocks
 
 MIX_ROWS = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 MIX_INV_ROWS = (
@@ -100,17 +100,29 @@ def core_transform_blocks(blocks: np.ndarray) -> np.ndarray:
     return _mix_words(_forward_tables(), blocks)
 
 
+@functools.cache
+def _inverse_sbox_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """The inverse S-box on byte pairs, as 65536-entry uint16 tables indexed
+    by a block's little-endian uint16 halves: on bytes 0 and 1, and on byte 3
+    alone (byte 2 bypasses the S-box)."""
+    return tuple(
+        (hi[:, None].astype("<u2") << 8 | lo).ravel()
+        for lo, hi in ((_SB_INV, _SB_INV), (_IDENTITY, _SB_INV))
+    )
+
+
 def core_inverse_blocks(blocks: np.ndarray) -> np.ndarray:
     """CT^-1 over an (n, 4) uint8 array: two pair-table gathers for the
-    inverse matrix, then the inverse S-box on every byte, with byte 2 (which
-    bypasses the S-box) copied back."""
-    mixed = _mix_words(_inverse_tables(), blocks)
-    out = np.take(_SB_INV, mixed, mode="wrap")
-    out[:, 2] = mixed[:, 2]
-    return out
+    inverse matrix, then two for the inverse S-box."""
+    halves = _mix_words(_inverse_tables(), blocks).view("<u2")
+    out = np.empty_like(halves)
+    for j, table in enumerate(_inverse_sbox_pairs()):
+        np.take(table, halves[:, j], out=out[:, j], mode="wrap")
+    return out.view(np.uint8)
 
 
-def _check_counter(n: int, key: int) -> None:
+def _check_counter(img, key: int) -> None:
+    n = block_count(img)
     if not 0 <= key <= 255:
         raise ValueError("key must be a single byte")
     if n >= 1 << 24:
@@ -131,13 +143,23 @@ def _masks(start: int, stop: int, key: int) -> np.ndarray:
     return masks.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
 
 
+def dwc_encrypt_kernel(img, key: int) -> Kernel:
+    """The map_chunks kernel that encrypts a GrayImage or PgmSource:
+    counter-mask each block, then apply the core transform."""
+    _check_counter(img, key)
+    return lambda b, s: core_transform_blocks(b ^ _masks(s, s + len(b), key))
+
+
+def dwc_decrypt_kernel(img, key: int) -> Kernel:
+    """The map_chunks kernel that decrypts a GrayImage or PgmSource:
+    invert the core transform, then strip the counter mask."""
+    _check_counter(img, key)
+    return lambda b, s: core_inverse_blocks(b) ^ _masks(s, s + len(b), key)
+
+
 def dwc_encrypt(img: GrayImage, key: int) -> GrayImage:
-    """Counter-mask each block, then apply the core transform."""
-    _check_counter(len(blocks_of(img)), key)
-    return map_blocks(img, lambda b, s: core_transform_blocks(b ^ _masks(s, s + len(b), key)))
+    return map_blocks(img, dwc_encrypt_kernel(img, key))
 
 
 def dwc_decrypt(img: GrayImage, key: int) -> GrayImage:
-    """Invert the core transform, then strip the counter mask."""
-    _check_counter(len(blocks_of(img)), key)
-    return map_blocks(img, lambda b, s: core_inverse_blocks(b) ^ _masks(s, s + len(b), key))
+    return map_blocks(img, dwc_decrypt_kernel(img, key))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Mat2
-from .imagekit import BadDimensionsError, GrayImage, map_blocks
+from .imagekit import BadDimensionsError, GrayImage, Kernel, map_blocks
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,36 @@ def expand_key(k: Mat2) -> HillKey:
 
 def hill_apply(blocks: np.ndarray, k: Mat2) -> np.ndarray:
     """The Hill layer on an (n, 4) uint8 block array, in difference form:
-    4 byte multiplies per block, wrapping mod 256 in uint8."""
+    4 byte multiplies per block, wrapping mod 256 in uint8, into one
+    C-ordered (n, 4) output."""
     (k11, k12), (k21, k22) = k
     p0, p1, p2, p3 = blocks.T
+    out = np.empty((len(blocks), 4), dtype=np.uint8)
+    c0, c1, c2, c3 = out.T
     d0, d1 = p0 - p2, p1 - p3
-    kd0 = k11 * d0 + k12 * d1
-    kd1 = k21 * d0 + k22 * d1
-    return np.stack([p2 + kd0, p3 + kd1, p0 + kd0, p1 + kd1], axis=1)
+    kd, term = d0 * k11, d1 * k12
+    kd += term
+    np.add(p2, kd, out=c0)
+    np.add(p0, kd, out=c2)
+    np.multiply(d0, k21, out=kd)
+    np.multiply(d1, k22, out=term)
+    kd += term
+    np.add(p3, kd, out=c1)
+    np.add(p1, kd, out=c3)
+    return out
 
 
-def _require_even_dims(img: GrayImage) -> None:
+def ecchc_kernel(img, key: HillKey) -> Kernel:
+    """The map_chunks kernel that encrypts (and decrypts: the same
+    multiply) a GrayImage or PgmSource; both dimensions must be even."""
     if img.width % 2 or img.height % 2:
         raise BadDimensionsError(
             f"{img.width}x{img.height}: both dimensions must be even"
         )
+    return lambda blocks, _: hill_apply(blocks, key.k)
 
 
 def ecchc_encrypt(img: GrayImage, key: HillKey) -> GrayImage:
-    """ECB encryption: hill_apply on every canonical block."""
-    _require_even_dims(img)
-    return map_blocks(img, lambda b, _: hill_apply(b, key.k))
-
-
-def ecchc_decrypt(img: GrayImage, key: HillKey) -> GrayImage:
-    """Identical multiply: the block matrix is its own inverse mod 256."""
-    return ecchc_encrypt(img, key)
+    """ECB encryption: hill_apply on every canonical block.  It is also the
+    decryption: the block matrix is its own inverse mod 256."""
+    return map_blocks(img, ecchc_kernel(img, key))

@@ -5,15 +5,19 @@ The canonical block order is defined once, here: the raster is flattened
 row-major and cut into consecutive, non-overlapping groups of 4 pixels.
 Every cipher and attack in this package uses this codec, so a plaintext
 block index means the same thing everywhere.  Both ciphers apply it
-through map_blocks, which feeds a kernel the block sequence in
-cache-sized chunks and reassembles the raster.
+through map_chunks, which feeds a kernel the block sequence in
+cache-sized chunks: of an image in memory (map_blocks reassembles the
+raster) or of a PGM file opened with open_pgm, whose pixels can go from
+file to kernel to write_pgm one chunk at a time.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +74,11 @@ class GrayImage:
     def tobytes(self) -> bytes:
         return self.pixels.tobytes()
 
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The pixels in raster order, MAP_CHUNK blocks at a time, as flat views."""
+        flat = self.pixels.reshape(-1)
+        return (flat[s : s + _CHUNK_PIXELS] for s in range(0, flat.size, _CHUNK_PIXELS))
+
     def __eq__(self, other):
         if not isinstance(other, GrayImage):
             return NotImplemented
@@ -85,29 +94,44 @@ class GrayImage:
 
 def blocks_of(img: GrayImage) -> np.ndarray:
     """Split into the canonical block sequence: (n, 4) uint8 array."""
+    return img.pixels.reshape(block_count(img), 4)
+
+
+def block_count(img) -> int:
+    """The number of canonical blocks of a GrayImage or PgmSource."""
     if img.size % 4 != 0:
         raise BadDimensionsError(
             f"pixel count {img.size} is not a multiple of 4"
         )
-    return img.pixels.reshape(-1, 4)
+    return img.size // 4
 
 
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
+_CHUNK_PIXELS = 4 * MAP_CHUNK
+
+Kernel = Callable[[np.ndarray, int], np.ndarray]
 
 
-def map_blocks(
-    img: GrayImage, kernel: Callable[[np.ndarray, int], np.ndarray]
-) -> GrayImage:
-    """Apply a block cipher kernel over the canonical block sequence.
+def map_chunks(img, kernel: Kernel) -> Iterator[np.ndarray]:
+    """Apply a block cipher kernel over the canonical block sequence of a
+    GrayImage or PgmSource whose pixel count is a multiple of 4.
 
     kernel(chunk, start) maps the (m, 4) uint8 blocks start .. start+m-1 to
     their (m, 4) output; it is called on consecutive chunks of MAP_CHUNK
-    blocks and the outputs are reassembled in order.
+    blocks, and the outputs are yielded in order.
     """
-    blocks = blocks_of(img)
-    out = np.empty_like(blocks)
-    for start in range(0, len(blocks), MAP_CHUNK):
-        out[start : start + MAP_CHUNK] = kernel(blocks[start : start + MAP_CHUNK], start)
+    start = 0
+    for pixels in img.chunks():
+        blocks = pixels.reshape(-1, 4)
+        yield kernel(blocks, start)
+        start += len(blocks)
+
+
+def map_blocks(img: GrayImage, kernel: Kernel) -> GrayImage:
+    """map_chunks over an image in memory, reassembled into a raster."""
+    out = np.empty_like(blocks_of(img))
+    for start, chunk in zip(range(0, len(out), MAP_CHUNK), map_chunks(img, kernel)):
+        out[start : start + MAP_CHUNK] = chunk
     return GrayImage(out.reshape(img.height, img.width))
 
 
@@ -141,8 +165,8 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
-def read_pgm(data: bytes) -> GrayImage:
-    """Parse a P5 (binary) or P2 (ASCII) PGM with maxval 255."""
+def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
+    """The magic, width, height and pixel offset of a PGM header."""
     magic, _ = _header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
         raise MalformedHeaderError(f"not a PGM: magic {magic[0]!r}")
@@ -155,11 +179,20 @@ def read_pgm(data: bytes) -> GrayImage:
         raise MalformedHeaderError("non-positive dimensions")
     if maxval != 255:
         raise UnsupportedMaxvalError(f"maxval {maxval} unsupported, need 255")
+    return tokens[0], width, height, offset
+
+
+def _check_payload(n: int, got: int) -> None:
+    if got < n:
+        raise TruncatedDataError(f"expected {n} pixels, got {got}")
+
+
+def read_pgm(data: bytes) -> GrayImage:
+    """Parse a P5 (binary) or P2 (ASCII) PGM with maxval 255."""
+    magic, width, height, offset = _read_header(data)
     n = width * height
-    if tokens[0] == b"P5":
-        got = max(0, len(data) - offset)
-        if got < n:
-            raise TruncatedDataError(f"expected {n} pixels, got {got}")
+    if magic == b"P5":
+        _check_payload(n, max(0, len(data) - offset))
         # P5 pixels are a read-only view of the payload in `data`, not a copy.
         pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
         return GrayImage(pixels.reshape(height, width))
@@ -176,21 +209,114 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(np.frombuffer(bytes(values), dtype=np.uint8).reshape(height, width))
 
 
-def load_pgm(path) -> GrayImage:
-    """read_pgm of a file; a PgmError's message starts with the path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+class PgmSource:
+    """A PGM file opened by open_pgm: header, size and truncation checked.
+
+    chunks() yields the pixels in raster order, MAP_CHUNK blocks (128 KiB)
+    at a time.  A P5 regular file longer than the first read is streamed
+    through one reused buffer, so a chunk is valid only until the next one
+    and memory does not grow with the image.  Anything else (P2, a pipe or
+    device, a file that fits in the first read, a header longer than it)
+    is read whole and chunked from memory.  Use it as a context manager.
+    """
+
+    def __init__(self, fh, path, width: int, height: int, offset: int | None, image: GrayImage | None):
+        self._fh, self._path, self._offset, self._image = fh, path, offset, image
+        self.width, self.height = width, height
+
+    @property
+    def size(self) -> int:
+        return self.width * self.height
+
+    def _read_into(self, out: np.ndarray) -> np.ndarray:
+        if self._fh.readinto(out) != out.size:
+            raise TruncatedDataError(f"{self._path}: file shrank while it was read")
+        return out
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        if self._image is not None:
+            yield from self._image.chunks()
+            return
+        buf = np.empty(min(_CHUNK_PIXELS, self.size), dtype=np.uint8)
+        self._fh.seek(self._offset)
+        for start in range(0, self.size, buf.size):
+            yield self._read_into(buf[: self.size - start])
+
+    def image(self) -> GrayImage:
+        """All the pixels in memory."""
+        if self._image is not None:
+            return self._image
+        self._fh.seek(self._offset)
+        pixels = self._read_into(np.empty(self.size, dtype=np.uint8))
+        return GrayImage(pixels.reshape(self.height, self.width))
+
+    def __enter__(self) -> "PgmSource":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+
+def open_pgm(path) -> PgmSource:
+    """Open a PGM file and run every check read_pgm runs, reading only the
+    first MAP_CHUNK blocks' worth of bytes of a large P5 file; a PgmError's
+    message starts with the path."""
+    fh = open(path, "rb")
     try:
-        return read_pgm(data)
+        head = fh.read(_CHUNK_PIXELS)
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(head):
+            try:
+                magic, width, height, offset = _read_header(head)
+            except PgmError:  # maybe a header cut off by the read: parse it whole below
+                magic = None
+            if magic == b"P5" and offset <= len(head):  # the maxval token ended inside head
+                _check_payload(width * height, st.st_size - offset)
+                return PgmSource(fh, path, width, height, offset, None)
+        img = read_pgm(head + fh.read())
+        return PgmSource(fh, path, img.width, img.height, None, img)
     except PgmError as exc:
+        fh.close()
         raise type(exc)(f"{path}: {exc}") from None
+    except BaseException:
+        fh.close()
+        raise
+
+
+def load_pgm(path) -> GrayImage:
+    """The image of a PGM file; a PgmError's message starts with the path."""
+    with open_pgm(path) as src:
+        return src.image()
+
+
+def _keep_contents(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_pgm(path, width: int, height: int, chunks: Iterable) -> None:
+    """Write canonical binary P5 (single separators, no comments) from the
+    pixel chunks in raster order.
+
+    An existing file is rewritten in place and then trimmed to the new
+    length, never truncated to zero first: on ext4 (auto_da_alloc) a
+    truncate to zero makes close start writeback of the whole file.  Only
+    a regular file is trimmed, so /dev/null works.  The header written is
+    the shortest a PGM of these dimensions can have, so when the chunks are
+    read from the same file, each write lands behind the reads still to
+    come: the output may be the input.
+    """
+    with open(os.fspath(path), "wb", opener=_keep_contents) as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        for chunk in chunks:
+            fh.write(chunk)
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+            fh.truncate()
 
 
 def save_pgm(img: GrayImage, path) -> None:
-    """Write canonical binary P5: single separators, no comments."""
-    with open(path, "wb") as fh:  # header, then the pixel buffer without joining a copy
-        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        fh.write(img.pixels)
+    """write_pgm of an image in memory."""
+    write_pgm(path, img.width, img.height, (img.pixels,))
 
 
 # ---------------------------------------------------------------------------

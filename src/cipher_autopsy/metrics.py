@@ -1,7 +1,8 @@
 """Entropy, PSNR/MSE and UACI for 8-bit grayscale images: one
 evaluate_pair row per (plaintext, ciphertext) pair.
 
-Every metric comes from one pass over the pixels, one chunk at a time:
+Every metric comes from one pass over the pixels, one chunk at a time
+(of images in memory or of PGM files streamed from disk):
 the transformed image's 256-bin histogram gives the entropy, and the
 exact integer sums of |x - y| and (x - y)^2 give the UACI and MSE
 numerators.  No temporary outgrows a chunk, and floating point enters
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .imagekit import GrayImage
 
 
 class EmptyImageError(ValueError):
@@ -45,34 +44,36 @@ class MetricsReport:
         }
 
 
-# Pixels per chunk: its 256 KiB intp bincount copy, not the image, bounds a call's temporaries.
+# Pixels per step: its 256 KiB intp bincount copy, not the image, bounds a call's temporaries.
 _CHUNK = 1 << 15
 
 
-def _tally(a: GrayImage, b: GrayImage) -> tuple[np.ndarray, int, int]:
-    """The 256-bin histogram of b and the exact sums of |a - b| and (a - b)^2."""
-    x, y = a.pixels.ravel(), b.pixels.ravel()
+def _tally(pairs) -> tuple[np.ndarray, int, int]:
+    """The 256-bin histogram of the y pixels and the exact sums of |x - y|
+    and (x - y)^2, folded over equal-length (x, y) chunk pairs."""
     hist, abs_sum, sq_sum = np.zeros(256, dtype=np.int64), 0, 0
-    for s in range(0, y.size, _CHUNK):
-        hist += np.bincount(y[s : s + _CHUNK], minlength=256)
-        d = x[s : s + _CHUNK].astype(np.int16) - y[s : s + _CHUNK]
-        d = np.abs(d, out=d).view(np.uint16)  # at most 255, so d * d fits in uint16
-        abs_sum += int(d.sum(dtype=np.uint64))
-        sq_sum += int(np.multiply(d, d, out=d).sum(dtype=np.uint64))
+    for xs, ys in pairs:
+        for s in range(0, ys.size, _CHUNK):
+            x, y = xs[s : s + _CHUNK], ys[s : s + _CHUNK]
+            hist += np.bincount(y, minlength=256)
+            d = x.astype(np.int16) - y
+            d = np.abs(d, out=d).view(np.uint16)  # at most 255, so d * d fits in uint16
+            abs_sum += int(d.sum(dtype=np.uint64))
+            sq_sum += int(np.multiply(d, d, out=d).sum(dtype=np.uint64))
     return hist, abs_sum, sq_sum
 
 
-def evaluate_pair(plain: GrayImage, transformed: GrayImage) -> MetricsReport:
-    """The comparison-table row for one (plaintext, ciphertext) pair:
-    entropy of the transformed image, PSNR/UACI/MSE of the pair, all from
-    one chunked pass over the two images."""
+def evaluate_pair(plain, transformed) -> MetricsReport:
+    """The comparison-table row for one (plaintext, ciphertext) pair of
+    GrayImages or PgmSources: entropy of the transformed image, PSNR/UACI/MSE
+    of the pair, all from one pass over the two images' chunks."""
     if transformed.size == 0:
         raise EmptyImageError("entropy of an empty image is undefined")
-    if plain.pixels.shape != transformed.pixels.shape:
+    if (plain.width, plain.height) != (transformed.width, transformed.height):
         raise DimensionMismatchError(
             f"{plain.width}x{plain.height} vs {transformed.width}x{transformed.height}"
         )
-    hist, abs_sum, sq_sum = _tally(plain, transformed)
+    hist, abs_sum, sq_sum = _tally(zip(plain.chunks(), transformed.chunks()))
     p = hist[hist > 0] / plain.size
     m = sq_sum / plain.size
     return MetricsReport(

@@ -1,0 +1,258 @@
+"""The CLI's P5 stream.
+
+encrypt, decrypt and metrics read a large P5 file one chunk at a time and
+rewrite an existing output in place, then trim it.  The output bytes, exit
+codes and messages are those of the whole-image library path; an error
+raised before the first write leaves an existing output untouched; and the
+memory a command takes does not grow with the image.
+"""
+
+import json
+import os
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cipher_autopsy import cli, dwc, ecchc, metrics
+from cipher_autopsy.imagekit import (
+    MAP_CHUNK,
+    GrayImage,
+    TruncatedDataError,
+    gen_photo,
+    load_pgm,
+    open_pgm,
+    read_pgm,
+    save_pgm,
+)
+
+KEYS = {"ecchc": "0dc85b04", "dwc": "5f"}
+HILL = ecchc.HillKey.from_hex(KEYS["ecchc"])
+LIBRARY = {
+    ("encrypt", "ecchc"): lambda img: ecchc.ecchc_encrypt(img, HILL),
+    ("decrypt", "ecchc"): lambda img: ecchc.ecchc_encrypt(img, HILL),
+    ("encrypt", "dwc"): lambda img: dwc.dwc_encrypt(img, 0x5F),
+    ("decrypt", "dwc"): lambda img: dwc.dwc_decrypt(img, 0x5F),
+}
+# (height, width): one that fits in the first read, and one streamed in
+# three full chunks and a short one
+SHAPES = [(8, 8), (402, 1000)]
+assert 3 * 4 * MAP_CHUNK < 402 * 1000 < 4 * 4 * MAP_CHUNK
+
+
+def _image(shape, seed=0):
+    return GrayImage(np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8))
+
+
+def _p5(img, header=b"P5\n%d %d\n255\n"):
+    return header % (img.width, img.height) + img.tobytes()
+
+
+def _run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _error(err):
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    return doc["code"], doc["message"]
+
+
+# --- the stream writes the bytes of the whole-image path ------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("verb,alg", list(LIBRARY))
+@pytest.mark.parametrize("header", [b"P5\n%d %d\n255\n", b"P5 # padded\n#\n  %d\t%d # x\n255\r"])
+def test_cipher_output_is_the_library_output(tmp_path, capsys, shape, verb, alg, header):
+    img = _image(shape)
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(_p5(img, header))
+    assert _run(capsys, verb, "--alg", alg, "--key", KEYS[alg], "--in", src, "--out", out) == (0, "", "")
+    assert out.read_bytes() == _p5(LIBRARY[verb, alg](img))
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(3, 5)])
+def test_metrics_output_is_the_library_output(tmp_path, capsys, shape):
+    plain, enc = _image(shape, 1), _image(shape, 2)
+    paths = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    for img, path in zip((plain, enc), paths):
+        path.write_bytes(_p5(img))
+    row = {"algorithm": "-", "image": "-", **metrics.evaluate_pair(plain, enc).to_json_dict()}
+    assert _run(capsys, "metrics", "--in", paths[0], "--enc", paths[1]) == (0, json.dumps(row, indent=2) + "\n", "")
+
+
+def test_metrics_dimension_mismatch_is_checked_before_any_pixel_is_read(tmp_path, capsys):
+    paths = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    paths[0].write_bytes(_p5(_image((402, 1000))))
+    paths[1].write_bytes(_p5(_image((1000, 402))))
+    code, out, err = _run(capsys, "metrics", "--in", paths[0], "--enc", paths[1])
+    assert (code, out, _error(err)) == (3, "", (3, "1000x402 vs 402x1000"))
+
+
+# --- an existing output ---------------------------------------------------------
+
+
+def _bad_inputs(shape, path):
+    """(name, file bytes, alg, key, expected exit code, expected message)."""
+    h, w = shape
+    good = _p5(_image(shape))
+    n = h * w
+    odd = _image((h - 1, w))  # ecchc needs even sides; (h-1)*w is still a multiple of 4 for both shapes
+    unblockable = _image((h - 1, w - 1))  # (h-1)*(w-1) is odd
+    return [
+        ("truncated", good[:-5], "ecchc", KEYS["ecchc"], 3, f"{path}: expected {n} pixels, got {n - 5}"),
+        ("maxval", good.replace(b"\n255\n", b"\n16\n", 1), "dwc", KEYS["dwc"], 3, f"{path}: maxval 16 unsupported, need 255"),
+        ("magic", b"P6" + good[2:], "dwc", KEYS["dwc"], 3, f"{path}: not a PGM: magic b'P6'"),
+        ("hill key", good, "ecchc", "zz", 4, "bad hill key 'zz': hill key must be 8 hex digits (k11 k12 k21 k22)"),
+        ("dwc key", good, "dwc", "zz", 4, "bad dwc key 'zz': want 2 hex digits"),
+        ("odd sides", _p5(odd), "ecchc", KEYS["ecchc"], 3, f"{w}x{h - 1}: both dimensions must be even"),
+        ("unblockable", _p5(unblockable), "dwc", KEYS["dwc"], 3, f"pixel count {(h - 1) * (w - 1)} is not a multiple of 4"),
+    ]
+
+
+@pytest.mark.parametrize("verb", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_an_error_leaves_an_existing_output_untouched(tmp_path, capsys, verb, shape):
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    before = os.urandom(3 * 4 * MAP_CHUNK)
+    for name, data, alg, key, code, message in _bad_inputs(shape, src):
+        src.write_bytes(data)
+        out.write_bytes(before)
+        result = _run(capsys, verb, "--alg", alg, "--key", key, "--in", src, "--out", out)
+        assert (result[0], result[1], _error(result[2])) == (code, "", (code, message)), name
+        assert out.read_bytes() == before, name
+
+
+def test_errors_come_input_then_key_then_dimensions_then_output(tmp_path, capsys):
+    src, good, odd = tmp_path / "bad.pgm", tmp_path / "good.pgm", tmp_path / "odd.pgm"
+    src.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+    good.write_bytes(_p5(_image((402, 1000))))
+    odd.write_bytes(_p5(_image((401, 1000))))
+    cases = [
+        (src, "zz", tmp_path, 3, f"{src}: expected 16 pixels, got 3"),
+        (odd, "zz", tmp_path, 4, "bad hill key 'zz': hill key must be 8 hex digits (k11 k12 k21 k22)"),
+        (odd, KEYS["ecchc"], tmp_path, 3, "1000x401: both dimensions must be even"),
+        (good, KEYS["ecchc"], tmp_path, 3, f"[Errno 21] Is a directory: '{tmp_path}'"),
+    ]
+    for inp, key, out, code, message in cases:
+        result = _run(capsys, "encrypt", "--alg", "ecchc", "--key", key, "--in", inp, "--out", out)
+        assert (result[0], _error(result[2])) == (code, (code, message))
+
+
+@pytest.mark.parametrize("alg", ["ecchc", "dwc"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_longer_existing_output_is_trimmed(tmp_path, capsys, alg, shape):
+    img = _image(shape)
+    src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(_p5(img))
+    out.write_bytes(os.urandom(len(_p5(img)) + 4 * MAP_CHUNK + 3))
+    assert _run(capsys, "encrypt", "--alg", alg, "--key", KEYS[alg], "--in", src, "--out", out)[0] == 0
+    assert out.read_bytes() == _p5(LIBRARY["encrypt", alg](img))
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+@pytest.mark.parametrize("verb,alg", list(LIBRARY))
+def test_out_to_the_null_device(tmp_path, capsys, verb, alg):
+    src = tmp_path / "in.pgm"
+    src.write_bytes(_p5(_image((402, 1000))))
+    assert _run(capsys, verb, "--alg", alg, "--key", KEYS[alg], "--in", src, "--out", os.devnull) == (0, "", "")
+
+
+def _p2(img):
+    return b"P2\n# ascii\n%d %d\n255\n" % (img.width, img.height) + b" ".join(b"%d" % v for v in img.pixels.ravel())
+
+
+@pytest.mark.parametrize("alg", ["ecchc", "dwc"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        _p5(_image((402, 1000))),
+        _p5(_image((402, 1000)), b"P5\n" + b"# padding\n" * 300 + b"%d   %d\n255\n"),
+        _p2(_image((40, 100))),
+    ],
+    ids=["p5", "p5-padded-header", "p2"],
+)
+def test_out_may_be_the_input(tmp_path, capsys, alg, data):
+    src, other = tmp_path / "in.pgm", tmp_path / "other.pgm"
+    src.write_bytes(data)
+    argv = ["encrypt", "--alg", alg, "--key", KEYS[alg], "--in", src, "--out"]
+    assert _run(capsys, *argv, other)[0] == 0
+    assert _run(capsys, *argv, src)[0] == 0
+    assert src.read_bytes() == other.read_bytes()
+
+
+# --- the source's paths -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\n%d %d\n255\n", b"P5\n#\n%d %d # pad\n255\n", b"P5\n" + b"#" * (5 * MAP_CHUNK) + b"\n%d %d\n255\n"],
+    ids=["canonical", "padded", "longer-than-the-first-read"],
+)
+def test_chunks_and_image_are_the_pixels_read_pgm_reads(tmp_path, shape, header):
+    img = _image(shape)
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_p5(img, header) + b"trailing")
+    with open_pgm(path) as src:
+        assert (src.width, src.height, src.size) == (img.width, img.height, img.size)
+        # a streamed chunk is valid until the next one: copy each
+        assert np.array_equal(np.concatenate([c.copy() for c in src.chunks()]), img.pixels.ravel())
+        assert src.image() == read_pgm(path.read_bytes()) == img
+    assert load_pgm(path) == img
+
+
+def test_a_pipe_is_read_whole(tmp_path):
+    img = _image((402, 1000))
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=lambda: path.write_bytes(_p5(img)))
+    writer.start()
+    try:
+        with open_pgm(path) as src:
+            assert src.image() == img
+    finally:
+        writer.join()
+
+
+def test_a_file_that_shrinks_while_it_is_read_is_a_truncation_error(tmp_path):
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_p5(_image((402, 1000))))
+    with open_pgm(path) as src:
+        os.truncate(path, 3 * 4 * MAP_CHUNK)
+        with pytest.raises(TruncatedDataError, match=f"^{path}: "):
+            list(src.chunks())
+
+
+# --- memory ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encrypt", "--alg", "ecchc", "--key", KEYS["ecchc"], "--in", "{plain}", "--out", "{out}"],
+        ["decrypt", "--alg", "ecchc", "--key", KEYS["ecchc"], "--in", "{plain}", "--out", "{out}"],
+        ["encrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
+        ["decrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
+        ["metrics", "--in", "{plain}", "--enc", "{other}"],
+    ],
+    ids=["encrypt-ecchc", "decrypt-ecchc", "encrypt-dwc", "decrypt-dwc", "metrics"],
+)
+def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, argv):
+    paths = {name: tmp_path / f"{name}.pgm" for name in ("plain", "other", "out")}
+    save_pgm(gen_photo(0, 2048, 2048), paths["plain"])
+    save_pgm(gen_photo(1, 2048, 2048), paths["other"])
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.main(argv) == 0  # first use builds the dwc tables and the parser
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1 << 20

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import block_matrix
 
+from cipher_autopsy import cli
 from cipher_autopsy.ecchc import (
     HillKey,
-    ecchc_decrypt,
     ecchc_encrypt,
     expand_key,
     hill_apply,
@@ -19,6 +19,8 @@ from cipher_autopsy.imagekit import (
     gen_checkerboard,
     gen_constant,
     gen_noise,
+    load_pgm,
+    save_pgm,
 )
 
 byte = st.integers(0, 255)
@@ -146,13 +148,17 @@ def test_round_trip_on_random_images():
     for i in range(100):
         key = _random_key(rng)
         img = GrayImage(rng.integers(0, 256, (8, 8), dtype=np.uint8))
-        assert ecchc_decrypt(ecchc_encrypt(img, key), key) == img
+        assert ecchc_encrypt(ecchc_encrypt(img, key), key) == img
 
 
-def test_decrypt_is_encrypt():
-    key = expand_key(((9, 4), (200, 33)))
-    img = gen_noise(16)
-    assert ecchc_decrypt(img, key) == ecchc_encrypt(img, key)
+def test_decrypt_is_encrypt(tmp_path):
+    # one kernel serves both CLI directions
+    src, outs = tmp_path / "in.pgm", {v: tmp_path / f"{v}.pgm" for v in ("encrypt", "decrypt")}
+    save_pgm(gen_noise(16), src)
+    for verb, out in outs.items():
+        assert cli.main([verb, "--alg", "ecchc", "--key", "0904c821", "--in", str(src), "--out", str(out)]) == 0
+    assert outs["decrypt"].read_bytes() == outs["encrypt"].read_bytes()
+    assert load_pgm(outs["encrypt"]) == ecchc_encrypt(gen_noise(16), expand_key(((9, 4), (200, 33))))
 
 
 def test_double_encrypt_is_identity():
@@ -186,4 +192,4 @@ def test_image_path_matches_whole_array_matmul_across_chunks(n):
     expected = (blocks_of(img).astype(np.int64) @ np.array(block_matrix(key.k)).T) % 256
     enc = ecchc_encrypt(img, key)
     assert np.array_equal(blocks_of(enc), expected)
-    assert ecchc_decrypt(enc, key) == img
+    assert ecchc_encrypt(enc, key) == img
