@@ -301,20 +301,33 @@ class FixedPointCensus:
     sampled_fixed: list[Block] = field(default_factory=list)
 
 
+# Samples drawn per step: 2^15 raw words, 256 KiB.
+_CENSUS_CHUNK = 1 << 14
+# A sample's d = p_top - p_bot lies in {0, 128}^2, which every fixed block
+# needs, exactly when p0, p2 and p1, p3 agree in their low 7 bits: bits 24-30
+# and 56-62 of the sample's two raw words XOR-ed.  About 1 in 2^14 passes.
+_FIXABLE_MASK = 0x7F0000007F000000
+
+
 def fixed_point_census(key: HillKey, sample_count: int, seed: int) -> FixedPointCensus:
     """Verify the 256 structurally guaranteed fixed points (p, p, p, p)
     and probe the blocks default_rng(seed).integers(0, 256, (sample_count,
     4)) draws for additional ones.  They are read off the raw stream: a
     byte's bounded draw (Lemire's) is next_uint32 >> 24, never rejected,
-    and PCG64 hands out each 64-bit output low half first."""
+    and PCG64 hands out each 64-bit output low half first.  Only the
+    samples whose d can be fixed reach hill_apply, which gives the verdict."""
     diag = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 4, axis=1)
     diag_fixed = int(np.count_nonzero(np.all(hill_apply(diag, key.k) == diag, axis=1)))
-    raw = np.random.default_rng(seed).bit_generator.random_raw(2 * sample_count)
-    top = raw.astype("<u8", copy=False).view(np.uint8)[3::4]  # each 32-bit half's top byte
-    sample = np.ascontiguousarray(top).reshape(-1, 4)
-    # each block and its image compared as one 32-bit word
-    fixed_rows = (hill_apply(sample, key.k).view("<u4") == sample.view("<u4"))[:, 0]
-    found = [tuple(row) for row in sample[fixed_rows].tolist()]
+    bits = np.random.default_rng(seed).bit_generator
+    found: list[Block] = []
+    for s in range(0, sample_count, _CENSUS_CHUNK):
+        raw = bits.random_raw(2 * min(_CENSUS_CHUNK, sample_count - s)).reshape(-1, 2)
+        raw = raw[((raw[:, 0] ^ raw[:, 1]) & _FIXABLE_MASK) == 0]
+        top = raw.astype("<u8", copy=False).view(np.uint8)[:, 3::4]  # each 32-bit half's top byte
+        sample = np.ascontiguousarray(top)
+        # each block and its image compared as one 32-bit word
+        fixed_rows = (hill_apply(sample, key.k).view("<u4") == sample.view("<u4"))[:, 0]
+        found.extend(map(tuple, sample[fixed_rows].tolist()))
     return FixedPointCensus(
         diagonal_fixed=diag_fixed,
         sampled_tested=sample_count,

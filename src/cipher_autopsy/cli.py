@@ -43,7 +43,7 @@ EXIT_KEY = 4
 EXIT_ATTACK = 5
 EXIT_CURVE = 6
 
-MAX_SAMPLES = 1 << 20  # fixed-points draws 2 raw uint64s per sample; 32 MiB peak at 2^20
+MAX_SAMPLES = 1 << 20  # fixed-points draws 2^14 samples at a time; 0.5 MiB traced peak at 2^20
 
 
 class CliError(Exception):

@@ -10,9 +10,11 @@ p_bot = (p2, p3) and let d = p_top - p_bot; the block matrix then reads
 
 So c_bot - c_top = d under every key, every block (p, p, p, p) is a fixed
 point of every key, and each row of K meets the data in one linear
-equation per block.  hill_apply is the one statement of the layer, in
-this form; the 4x4 matrix is never stored.  The attack module leans on
-all three facts.
+equation per block.  No other block is fixed unless 2d = 0: a fixed block
+has K d = d and K d = -d, so d lies in {0, 128}^2, and then it is fixed
+exactly when (K - I) d = 0.  hill_apply is the one statement of the layer,
+in this form; the 4x4 matrix is never stored.  The attack module leans on
+all four facts.
 """
 
 from __future__ import annotations

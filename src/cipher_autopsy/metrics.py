@@ -5,9 +5,12 @@ Every metric comes from one pass over the pixels, one chunk at a time
 (of images in memory or of PGM files streamed from disk):
 the transformed image's 256-bin histogram gives the entropy, and the
 exact integer sums of |x - y| and (x - y)^2 give the UACI and MSE
-numerators.  No temporary outgrows a chunk, and floating point enters
-only at the final division or logarithm, so the numbers are bit-stable
-across platforms.
+numerators.  The histogram is counted in four interleaved lanes, pixel i
+into bin y + 256 * (i mod 4), and folded to 256 bins at the end, so a run
+of equal pixels (a low-entropy ciphertext) spreads over four counters
+instead of stalling on one.  No temporary outgrows a chunk, and floating
+point enters only at the final division or logarithm, so the numbers are
+bit-stable across platforms.
 """
 
 from __future__ import annotations
@@ -46,21 +49,24 @@ class MetricsReport:
 
 # Pixels per step: its 256 KiB intp bincount copy, not the image, bounds a call's temporaries.
 _CHUNK = 1 << 15
+assert _CHUNK * 255**2 < 2**32  # so each chunk's uint32 sums of |x - y| and (x - y)^2 are exact
+# Each pixel's lane offset 256 * (i mod 4) within a chunk, as uint16 (64 KiB).
+_LANES = np.tile(np.arange(0, 1024, 256, dtype=np.uint16), _CHUNK // 4)
 
 
 def _tally(pairs) -> tuple[np.ndarray, int, int]:
     """The 256-bin histogram of the y pixels and the exact sums of |x - y|
     and (x - y)^2, folded over equal-length (x, y) chunk pairs."""
-    hist, abs_sum, sq_sum = np.zeros(256, dtype=np.int64), 0, 0
+    hist, abs_sum, sq_sum = np.zeros(1024, dtype=np.int64), 0, 0
     for xs, ys in pairs:
         for s in range(0, ys.size, _CHUNK):
             x, y = xs[s : s + _CHUNK], ys[s : s + _CHUNK]
-            hist += np.bincount(y, minlength=256)
+            hist += np.bincount(np.add(y, _LANES[: y.size], dtype=np.uint16), minlength=1024)
             d = x.astype(np.int16) - y
             d = np.abs(d, out=d).view(np.uint16)  # at most 255, so d * d fits in uint16
-            abs_sum += int(d.sum(dtype=np.uint64))
-            sq_sum += int(np.multiply(d, d, out=d).sum(dtype=np.uint64))
-    return hist, abs_sum, sq_sum
+            abs_sum += int(np.add.reduce(d, dtype=np.uint32))
+            sq_sum += int(np.add.reduce(np.multiply(d, d, out=d), dtype=np.uint32))
+    return hist.reshape(4, 256).sum(axis=0), abs_sum, sq_sum
 
 
 def evaluate_pair(plain, transformed) -> MetricsReport:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import solve_rows_mod256
+from oracles import block_matrix, solve_rows_mod256
 
 from cipher_autopsy import attacks
 from cipher_autopsy.attacks import (
@@ -476,13 +476,52 @@ def test_census_reports_sampled_hits():
 @pytest.mark.parametrize("n", [0, 1, 4096, 100_000, 2**20])
 @pytest.mark.parametrize("seed", [0, 5, 2**31, 2**64 - 1])
 def test_census_samples_the_integers_stream(monkeypatch, n, seed):
-    # with the Hill layer replaced by the identity every block is fixed, so
-    # sampled_fixed is the whole sample, in order
+    # with the Hill layer replaced by the identity and the prefilter mask by
+    # 0, every block is fixed, so sampled_fixed is the whole sample, in order
     monkeypatch.setattr(attacks, "hill_apply", lambda blocks, k: blocks)
+    monkeypatch.setattr(attacks, "_FIXABLE_MASK", 0)
     census = fixed_point_census(expand_key(((1, 2), (3, 4))), sample_count=n, seed=seed)
     oracle = np.random.default_rng(seed).integers(0, 256, (n, 4))
     got = np.fromiter(chain.from_iterable(census.sampled_fixed), np.int64).reshape(-1, 4)
     assert np.array_equal(got, oracle)
+
+
+CENSUS_KEYS = {
+    "zero": ((0, 0), (0, 0)),
+    "identity mod 2": ((1 + 2 * 37, 2 * 101), (2 * 5, 1 + 2 * 90)),  # every d in {0, 128}^2 fixed
+    "random 1": ((3, 200), (77, 14)),
+    "random 2": ((0x0D, 0xC8), (0x5B, 0x04)),
+    "random 3": ((255, 128), (129, 2)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 2**20])
+@pytest.mark.parametrize("k", CENSUS_KEYS.values(), ids=CENSUS_KEYS.keys())
+def test_census_finds_every_sampled_fixed_block_in_order(n, k):
+    # the prefiltered census against the 4x4 block matrix on the whole sample
+    seed = n + 11
+    sample = np.random.default_rng(seed).integers(0, 256, (n, 4))
+    fixed = np.all(sample @ np.array(block_matrix(k)).T % 256 == sample, axis=1)
+    census = fixed_point_census(expand_key(k), sample_count=n, seed=seed)
+    assert census.sampled_fixed == [tuple(row) for row in sample[fixed].tolist()]
+
+
+@pytest.mark.parametrize("residue", range(16))
+def test_a_block_is_fixed_only_when_2d_is_0_and_k_minus_i_kills_d(residue):
+    # every d = (d0, d1) as the block (d0, d1, 0, 0), under a key of each
+    # residue mod 2 with random even parts
+    rng = np.random.default_rng(residue)
+    bits = (residue >> np.arange(4)) & 1
+    k11, k12, k21, k22 = (int(v) for v in bits + 2 * rng.integers(0, 128, 4))
+    k = ((k11, k12), (k21, k22))
+    d0, d1 = (v.ravel() for v in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+    blocks = np.zeros((65536, 4), dtype=np.uint8)
+    blocks[:, 0], blocks[:, 1] = d0, d1
+    fixed = np.all(hill_apply(blocks, k) == blocks, axis=1)
+    two_d_zero = (d0 % 128 == 0) & (d1 % 128 == 0)
+    kernel = ((k11 - 1) * d0 + k12 * d1) % 256 == 0
+    kernel &= (k21 * d0 + (k22 - 1) * d1) % 256 == 0
+    assert np.array_equal(fixed, two_d_zero & kernel)
 
 
 # --- duplicate-block detector -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,21 @@ def test_attack_fixed_points_samples_range(capsys, samples, code):
     (line,) = captured.err.splitlines()
     err = json.loads(line)
     assert err["code"] == 2 and "--samples" in err["message"]
+
+
+@pytest.mark.parametrize("key", ["00000000", "01000001", "0dc85b04"])
+def test_attack_fixed_points_at_2_20_samples_peaks_under_1_mib(capsys, key):
+    # the census draws its 2^20 samples a chunk at a time
+    argv = ["attack", "fixed-points", "--key", key, "--samples", str(cli.MAX_SAMPLES)]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1 << 20
 
 
 def test_attack_missing_argument_is_clean_error(capsys):

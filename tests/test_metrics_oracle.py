@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cipher_autopsy.imagekit import GrayImage
+from cipher_autopsy.ecchc import ecchc_encrypt, expand_key
+from cipher_autopsy.imagekit import GrayImage, gen_checkerboard, gen_constant, gen_drawing
 from cipher_autopsy.metrics import (
     _CHUNK,
     DimensionMismatchError,
@@ -87,14 +88,17 @@ def _same(x, y):
     return x == y and type(x) is type(y)
 
 
-@settings(max_examples=300, deadline=None)
-@given(pair=pairs())
-def test_every_field_matches_the_oracle_bit_for_bit(pair):
-    a, b = pair
+def _assert_matches_oracle(a, b):
     got, want = evaluate_pair(a, b), _oracle_report(a, b)
     for field in ("entropy_bits", "psnr_db", "uaci_percent", "mse"):
         assert _same(getattr(got, field), getattr(want, field)), field
     assert got.to_json_dict() == want.to_json_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=pairs())
+def test_every_field_matches_the_oracle_bit_for_bit(pair):
+    _assert_matches_oracle(*pair)
 
 
 def test_identical_pair_gives_infinite_psnr():
@@ -173,3 +177,40 @@ def test_extreme_multi_chunk_pair_matches_oracle_in_both_orders():
     for a, b in ((black, white), (white, black)):
         assert evaluate_pair(a, b) == _oracle_report(a, b)
         assert evaluate_pair(a, b).uaci_percent == 100.0
+
+
+def test_largest_chunk_sums_at_2048_square_match_oracle_in_both_orders():
+    # every chunk's sums at their bound: 2^15 * 255 and 2^15 * 255^2
+    black, white = gen_constant(0, 2048, 2048), gen_constant(255, 2048, 2048)
+    for a, b in ((black, white), (white, black)):
+        _assert_matches_oracle(a, b)
+
+
+HILL = expand_key(((3, 200), (77, 14)))
+LOW_ENTROPY = {
+    "constant": lambda: (gen_constant(0, 512, 512), gen_constant(93, 512, 512)),
+    "ecchc checkerboard": lambda: (
+        gen_checkerboard(32, 512, 512),
+        ecchc_encrypt(gen_checkerboard(32, 512, 512), HILL),
+    ),
+    "ecchc drawing": lambda: (
+        gen_drawing(1, 2048, 2048),
+        ecchc_encrypt(gen_drawing(1, 2048, 2048), HILL),
+    ),
+}
+
+
+@pytest.mark.parametrize("make", LOW_ENTROPY.values(), ids=LOW_ENTROPY.keys())
+def test_low_entropy_transformed_images_match_oracle(make):
+    # runs of equal pixels, which the four histogram lanes split up
+    plain, transformed = make()
+    assert len(np.unique(transformed.pixels)) <= 64
+    _assert_matches_oracle(plain, transformed)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (1, 7), (5, 5)])
+def test_pixel_counts_off_the_four_lanes_match_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 8 + shape[1])
+    a, b = (GrayImage(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in "ab")
+    _assert_matches_oracle(a, b)
+    _assert_matches_oracle(a, GrayImage(np.full(shape, 7, dtype=np.uint8)))
