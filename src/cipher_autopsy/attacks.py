@@ -316,6 +316,8 @@ def fixed_point_census(key: HillKey, sample_count: int, seed: int) -> FixedPoint
     byte's bounded draw (Lemire's) is next_uint32 >> 24, never rejected,
     and PCG64 hands out each 64-bit output low half first.  Only the
     samples whose d can be fixed reach hill_apply, which gives the verdict."""
+    if sample_count < 0:
+        raise ValueError("negative dimensions are not allowed")  # as that draw raises
     diag = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 4, axis=1)
     diag_fixed = int(np.count_nonzero(np.all(hill_apply(diag, key.k) == diag, axis=1)))
     bits = np.random.default_rng(seed).bit_generator

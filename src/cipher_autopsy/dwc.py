@@ -10,14 +10,16 @@ passes through) and multiplies by a fixed circulant matrix over GF(2^8).
 Both pieces are the standard byte-substitution and column-mix primitives;
 neither depends on the key, so anyone can invert CT.
 
-CT runs in T-table form: each input byte's substitution and matrix column
-fold into one 256-entry table of 32-bit words, and the tables of bytes
-(0, 1) and of bytes (2, 3) are XORed together into two 65536-entry pair
-tables.  A block, read as two little-endian uint16 halves, then costs two
-word gathers and one XOR.  CT^-1 gathers through the inverse matrix's
-pair tables, then through two byte-pair tables of the inverse S-box (the
-second passes byte 2 through).  The tables come from the field's log/antilog tables
-(algebra.GF_MUL, algebra.GF_INV), each direction's on its first use.
+Both directions run in T-table form, as stages of one gather.  A stage
+is a per-byte substitution followed by a matrix: each input byte's map
+and matrix column fold into one 256-entry table of 32-bit words, and the
+tables of bytes (0, 1) and of bytes (2, 3) are XORed together into two
+65536-entry pair tables.  A block, read as two little-endian uint16
+halves, then costs two word gathers and one XOR per stage.  CT is one
+stage (the S-box layer, then the matrix); CT^-1 is two (the identity
+map, then the inverse matrix; the inverse S-box layer, then the unit
+matrix).  The tables come from the field's log/antilog tables
+(algebra.GF_MUL, algebra.GF_INV), each stage's on its first use.
 Encryption and decryption are chunk kernels for imagekit.map_chunks,
 which feeds them one cache-sized chunk of blocks at a time.
 """
@@ -58,13 +60,29 @@ _SB, _SB_INV = build_sbox()
 _IDENTITY = np.arange(256, dtype=np.uint8)
 
 
-def _pair_tables(rows, subs) -> tuple[np.ndarray, np.ndarray]:
+def _s_layer(sbox: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The S-box layer's map of each byte: byte 2 bypasses the S-box."""
+    return (sbox, sbox, _IDENTITY, sbox)
+
+
+_STAGES = {
+    "ct": (MIX_ROWS, _s_layer(_SB)),
+    "mix_inv": (MIX_INV_ROWS, (_IDENTITY,) * 4),
+    "sub_inv": (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), _s_layer(_SB_INV)),
+}
+
+
+# A stage's tables (512 KiB) are built on its first use, so a process that
+# only encrypts holds CT's alone.
+@functools.cache
+def _pair_tables(stage: str) -> tuple[np.ndarray, np.ndarray]:
     """Byte-pair T-tables (Daemen & Rijmen, The Design of Rijndael, 2002,
-    sec. 4.2).  T_j[x] is column j of the matrix times subs[j][x] over
-    GF(2^8), packed little-endian (byte r of the word is row r), so one
+    sec. 4.2).  T_j[x] is column j of the stage's matrix times subs[j][x]
+    over GF(2^8), packed little-endian (byte r of the word is row r), so one
     output block is T_0[x0] ^ T_1[x1] ^ T_2[x2] ^ T_3[x3].  Returns
     T01[x0 | x1 << 8] = T_0[x0] ^ T_1[x1] and T23 likewise: the block's
     two little-endian uint16 halves index them directly."""
+    rows, subs = _STAGES[stage]
     t = []
     for j, sub in enumerate(subs):
         word = np.zeros(256, dtype=np.uint32)
@@ -74,21 +92,11 @@ def _pair_tables(rows, subs) -> tuple[np.ndarray, np.ndarray]:
     return tuple((t[j + 1][:, None] ^ t[j]).astype("<u4").ravel() for j in (0, 2))
 
 
-# Each direction's tables (512 KiB) are built on first use, so a process
-# that only encrypts or only decrypts holds one pair.
-@functools.cache
-def _forward_tables() -> tuple[np.ndarray, np.ndarray]:
-    return _pair_tables(MIX_ROWS, (_SB, _SB, _IDENTITY, _SB))
-
-
-@functools.cache
-def _inverse_tables() -> tuple[np.ndarray, np.ndarray]:
-    return _pair_tables(MIX_INV_ROWS, (_IDENTITY,) * 4)
-
-
-def _mix_words(tables, blocks: np.ndarray) -> np.ndarray:
-    """One pair-table gather per uint16 half, XORed, as (n, 4) bytes.
-    A uint16 index is always in range, so mode="wrap" skips bounds checks."""
+def _gather(stage: str, blocks: np.ndarray) -> np.ndarray:
+    """One stage over an (n, 4) uint8 array: a pair-table gather per uint16
+    half, XORed.  A uint16 index is always in range, so mode="wrap" skips
+    bounds checks."""
+    tables = _pair_tables(stage)
     halves = np.ascontiguousarray(blocks, dtype=np.uint8).view("<u2")
     words = np.take(tables[0], halves[:, 0], mode="wrap")
     words ^= np.take(tables[1], halves[:, 1], mode="wrap")
@@ -96,29 +104,14 @@ def _mix_words(tables, blocks: np.ndarray) -> np.ndarray:
 
 
 def core_transform_blocks(blocks: np.ndarray) -> np.ndarray:
-    """CT over an (n, 4) uint8 array: two pair-table gathers per block."""
-    return _mix_words(_forward_tables(), blocks)
-
-
-@functools.cache
-def _inverse_sbox_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """The inverse S-box on byte pairs, as 65536-entry uint16 tables indexed
-    by a block's little-endian uint16 halves: on bytes 0 and 1, and on byte 3
-    alone (byte 2 bypasses the S-box)."""
-    return tuple(
-        (hi[:, None].astype("<u2") << 8 | lo).ravel()
-        for lo, hi in ((_SB_INV, _SB_INV), (_IDENTITY, _SB_INV))
-    )
+    """CT over an (n, 4) uint8 array: one table stage."""
+    return _gather("ct", blocks)
 
 
 def core_inverse_blocks(blocks: np.ndarray) -> np.ndarray:
-    """CT^-1 over an (n, 4) uint8 array: two pair-table gathers for the
-    inverse matrix, then two for the inverse S-box."""
-    halves = _mix_words(_inverse_tables(), blocks).view("<u2")
-    out = np.empty_like(halves)
-    for j, table in enumerate(_inverse_sbox_pairs()):
-        np.take(table, halves[:, j], out=out[:, j], mode="wrap")
-    return out.view(np.uint8)
+    """CT^-1 over an (n, 4) uint8 array: the inverse matrix's stage, then
+    the inverse S-box's."""
+    return _gather("sub_inv", _gather("mix_inv", blocks))
 
 
 def _check_counter(img, key: int) -> None:

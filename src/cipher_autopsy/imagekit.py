@@ -13,6 +13,7 @@ file to kernel to write_pgm one chunk at a time.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import stat
@@ -213,15 +214,15 @@ class PgmSource:
     """A PGM file opened by open_pgm: header, size and truncation checked.
 
     chunks() yields the pixels in raster order, MAP_CHUNK blocks (128 KiB)
-    at a time.  A P5 regular file longer than the first read is streamed
-    through one reused buffer, so a chunk is valid only until the next one
-    and memory does not grow with the image.  Anything else (P2, a pipe or
-    device, a file that fits in the first read, a header longer than it)
-    is read whole and chunked from memory.  Use it as a context manager.
+    at a time, read into one reused buffer: whatever the input, a chunk is
+    valid only until the next one.  A regular P5 file whose header ends in
+    the first read is read from the file, so memory does not grow with the
+    image; anything else (P2, a pipe or device, a longer header) is read
+    whole and served from memory.  Use it as a context manager.
     """
 
-    def __init__(self, fh, path, width: int, height: int, offset: int | None, image: GrayImage | None):
-        self._fh, self._path, self._offset, self._image = fh, path, offset, image
+    def __init__(self, fh, path, width: int, height: int, offset: int):
+        self._fh, self._path, self._offset = fh, path, offset
         self.width, self.height = width, height
 
     @property
@@ -234,9 +235,6 @@ class PgmSource:
         return out
 
     def chunks(self) -> Iterator[np.ndarray]:
-        if self._image is not None:
-            yield from self._image.chunks()
-            return
         buf = np.empty(min(_CHUNK_PIXELS, self.size), dtype=np.uint8)
         self._fh.seek(self._offset)
         for start in range(0, self.size, buf.size):
@@ -244,8 +242,6 @@ class PgmSource:
 
     def image(self) -> GrayImage:
         """All the pixels in memory."""
-        if self._image is not None:
-            return self._image
         self._fh.seek(self._offset)
         pixels = self._read_into(np.empty(self.size, dtype=np.uint8))
         return GrayImage(pixels.reshape(self.height, self.width))
@@ -259,22 +255,23 @@ class PgmSource:
 
 def open_pgm(path) -> PgmSource:
     """Open a PGM file and run every check read_pgm runs, reading only the
-    first MAP_CHUNK blocks' worth of bytes of a large P5 file; a PgmError's
-    message starts with the path."""
+    first MAP_CHUNK blocks' worth of bytes of a regular P5 file; a
+    PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
         head = fh.read(_CHUNK_PIXELS)
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(head):
+        if stat.S_ISREG(st.st_mode):
             try:
                 magic, width, height, offset = _read_header(head)
             except PgmError:  # maybe a header cut off by the read: parse it whole below
                 magic = None
             if magic == b"P5" and offset <= len(head):  # the maxval token ended inside head
                 _check_payload(width * height, st.st_size - offset)
-                return PgmSource(fh, path, width, height, offset, None)
+                return PgmSource(fh, path, width, height, offset)
         img = read_pgm(head + fh.read())
-        return PgmSource(fh, path, img.width, img.height, None, img)
+        fh.close()
+        return PgmSource(io.BytesIO(img.pixels), path, img.width, img.height, 0)
     except PgmError as exc:
         fh.close()
         raise type(exc)(f"{path}: {exc}") from None

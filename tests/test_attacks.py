@@ -486,6 +486,14 @@ def test_census_samples_the_integers_stream(monkeypatch, n, seed):
     assert np.array_equal(got, oracle)
 
 
+def test_census_rejects_a_negative_sample_count_before_any_draw(monkeypatch):
+    with pytest.raises(ValueError) as draw:
+        np.random.default_rng(0).integers(0, 256, (-5, 4))
+    monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+    with pytest.raises(ValueError, match=f"^{draw.value}$"):
+        fixed_point_census(expand_key(((1, 2), (3, 4))), sample_count=-5, seed=0)
+
+
 CENSUS_KEYS = {
     "zero": ((0, 0), (0, 0)),
     "identity mod 2": ((1 + 2 * 37, 2 * 101), (2 * 5, 1 + 2 * 90)),  # every d in {0, 128}^2 fixed

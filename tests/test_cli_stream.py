@@ -162,8 +162,8 @@ def test_out_to_the_null_device(tmp_path, capsys, verb, alg):
     assert _run(capsys, verb, "--alg", alg, "--key", KEYS[alg], "--in", src, "--out", os.devnull) == (0, "", "")
 
 
-def _p2(img):
-    return b"P2\n# ascii\n%d %d\n255\n" % (img.width, img.height) + b" ".join(b"%d" % v for v in img.pixels.ravel())
+def _p2(img, header=b"P2\n# ascii\n%d %d\n255\n"):
+    return header % (img.width, img.height) + b" ".join(b"%d" % v for v in img.pixels.ravel())
 
 
 @pytest.mark.parametrize("alg", ["ecchc", "dwc"])
@@ -188,16 +188,23 @@ def test_out_may_be_the_input(tmp_path, capsys, alg, data):
 # --- the source's paths -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+# the third shape's file, 125 KiB of pixels, fits in the first read whole
+@pytest.mark.parametrize("shape", SHAPES + [(256, 500)])
 @pytest.mark.parametrize(
     "header",
-    [b"P5\n%d %d\n255\n", b"P5\n#\n%d %d # pad\n255\n", b"P5\n" + b"#" * (5 * MAP_CHUNK) + b"\n%d %d\n255\n"],
-    ids=["canonical", "padded", "longer-than-the-first-read"],
+    [
+        b"P5\n%d %d\n255\n",
+        b"P5\n#\n%d %d # pad\n255\n",
+        b"P5\n" + b"#" * (5 * MAP_CHUNK) + b"\n%d %d\n255\n",
+        b"P2\n# ascii\n%d %d\n255\n",
+    ],
+    ids=["canonical", "padded", "longer-than-the-first-read", "p2"],
 )
 def test_chunks_and_image_are_the_pixels_read_pgm_reads(tmp_path, shape, header):
     img = _image(shape)
     path = tmp_path / "in.pgm"
-    path.write_bytes(_p5(img, header) + b"trailing")
+    encode = _p2 if header.startswith(b"P2") else _p5
+    path.write_bytes(encode(img, header) + b" trailing")
     with open_pgm(path) as src:
         assert (src.width, src.height, src.size) == (img.width, img.height, img.size)
         # a streamed chunk is valid until the next one: copy each

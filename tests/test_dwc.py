@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipher_autopsy import dwc
 from cipher_autopsy.dwc import (
     MIX_INV_ROWS,
     MIX_ROWS,
@@ -227,17 +233,58 @@ def test_array_oracle_matches_scalar_oracle():
     assert np.array_equal(_oracle_ct_array(blocks), _oracle_rows(blocks))
 
 
-@pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
-def test_kernels_match_oracle_for_every_byte_pair(pair):
-    # every index of one pair table, with the other half random per block
+@pytest.mark.parametrize(
+    "side,pair",
+    [(side, pair) for side in ("plaintext", "ciphertext") for pair in ((0, 1), (2, 3))],
+    ids=["pair0", "pair1", "ciphertext-pair0", "ciphertext-pair1"],
+)
+def test_kernels_match_oracle_for_every_byte_pair(side, pair):
+    # every index of one pair table, with the other half random per block: a
+    # plaintext pair indexes CT's stage and CT^-1's inverse S-box stage, a
+    # ciphertext pair CT^-1's inverse matrix stage
     rng = np.random.default_rng(26 + pair[0])
     blocks = rng.integers(0, 256, (65536, 4), dtype=np.uint8)
     values = np.arange(65536)
     blocks[:, pair[0]] = values & 0xFF
     blocks[:, pair[1]] = values >> 8
-    expected = _oracle_ct_array(blocks)
-    assert np.array_equal(core_transform_blocks(blocks), expected)
-    assert np.array_equal(core_inverse_blocks(expected), blocks)
+    if side == "plaintext":
+        expected = _oracle_ct_array(blocks)
+        assert np.array_equal(core_transform_blocks(blocks), expected)
+        assert np.array_equal(core_inverse_blocks(expected), blocks)
+    else:
+        assert np.array_equal(core_transform_blocks(core_inverse_blocks(blocks)), blocks)
+
+
+_STAGES_BUILT = """
+import sys
+import numpy as np
+import cipher_autopsy.cli
+from cipher_autopsy import dwc
+from cipher_autopsy.imagekit import GrayImage
+
+built_at_import = dwc._pair_tables.cache_info().currsize
+getattr(dwc, sys.argv[1])(GrayImage(np.zeros((4, 4), dtype=np.uint8)), 7)
+built = []
+for stage in dwc._STAGES:
+    misses = dwc._pair_tables.cache_info().misses
+    dwc._pair_tables(stage)
+    if dwc._pair_tables.cache_info().misses == misses:
+        built.append(stage)
+print(built_at_import, *built)
+"""
+
+
+@pytest.mark.parametrize(
+    "call,stages", [("dwc_encrypt", "ct"), ("dwc_decrypt", "mix_inv sub_inv")]
+)
+def test_each_call_builds_only_the_stages_it_runs(call, stages):
+    # the tables are built on first use, so a fresh interpreter that imports
+    # the CLI holds none, and one that only encrypts holds CT's stage alone
+    env = dict(os.environ, PYTHONPATH=str(Path(dwc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGES_BUILT, call], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"0 {stages}\n")
 
 
 # --- counter masking ---------------------------------------------------------------
