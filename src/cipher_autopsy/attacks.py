@@ -11,15 +11,15 @@ import string
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from typing import Sequence
+from itertools import chain, groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .algebra import Block, bytes_mod256, row_coset, two_smallest
-from .dwc import dwc_decrypt
+from .dwc import dwc_decrypt, dwc_decrypt_kernel
 from .ecchc import HillKey, expand_key, hill_apply
-from .imagekit import GrayImage, blocks_of
+from .imagekit import MAP_CHUNK, GrayImage, block_count, blocks_of
 from .metrics import DimensionMismatchError
 
 
@@ -55,9 +55,7 @@ class AttackOutcome:
     elapsed_s: float
 
     def __post_init__(self):
-        assert (self.recovered_key is not None) == (
-            self.status is AttackStatus.UNIQUE
-        )
+        assert (self.recovered_key is not None) == (self.status is AttackStatus.UNIQUE)
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,12 +103,11 @@ class KeyMask:
 # ---------------------------------------------------------------------------
 
 
-def _hill_keys(
-    pblocks: np.ndarray, cblocks: np.ndarray, known=(None, None, None, None)
-) -> list[tuple[int, int, int, int]]:
+def _hill_keys(pairs, known=(None, None, None, None)) -> list[tuple[int, int, int, int]]:
     """The two lexicographically smallest keys (fewer if fewer exist) that
     map every plaintext block to its ciphertext block and agree with the
-    known key bytes.
+    known key bytes, folded over (plaintext, ciphertext) pairs of (m, 4)
+    uint8 block chunks.
 
     Every key gives c_bot - c_top = d with d = p_top - p_bot, so a block
     pair that breaks this fits no key.  Otherwise key row r meets each
@@ -118,23 +115,32 @@ def _hill_keys(
     known byte is one more equation, e.g. (1, 0 | k11).  The rows are
     independent, so the keys that fit are (top solutions) x (bottom
     solutions), and the two smallest come from each row's two smallest.
+    Each row's equations so far are carried to the next chunk as the two
+    its row_coset stands for, 2^vx * x + bx * y = tx and 2^vy * y = ty
+    (2^8 reads 0); the known bytes are the first carry.
     """
-    p0, p1, p2, p3 = bytes_mod256(pblocks).T
-    c0, c1, c2, c3 = bytes_mod256(cblocks).T
-    d0, d1 = p0 - p2, p1 - p3
-    if ((c2 - c0 != d0) | (c3 - c1 != d1)).any():
-        return []
-    rows = []
-    for r, t in enumerate((c0 - p2, c1 - p3)):
-        extra = [(1 - j, j, v) for j, v in enumerate(known[2 * r : 2 * r + 2]) if v is not None]
-        eqs = zip((d0, d1, t), bytes_mod256(extra).reshape(-1, 3).T)
-        rows.append(two_smallest(row_coset(*(np.concatenate(col) for col in eqs))))
-    top, bot = rows
-    return [
-        top[i] + bot[j]
-        for i, j in ((0, 0), (0, 1), (1, 0))
-        if i < len(top) and j < len(bot)
-    ][:2]
+    eqs = ([(1 - j, j, v) for j, v in enumerate(known[r : r + 2]) if v is not None] for r in (0, 2))
+    carry = [bytes_mod256(rows).reshape(-1, 3) for rows in eqs]
+    cosets = None
+    for pblocks, cblocks in pairs:
+        p0, p1, p2, p3 = pblocks.T
+        c0, c1, c2, c3 = cblocks.T
+        d0, d1 = p0 - p2, p1 - p3
+        if ((c2 - c0 != d0) | (c3 - c1 != d1)).any():
+            return []
+        stacked = (zip(rows.T, (d0, d1, t)) for rows, t in zip(carry, (c0 - p2, c1 - p3)))
+        cosets = [row_coset(*map(np.concatenate, cols)) for cols in stacked]
+        if None in cosets:
+            return []
+        carry = [
+            np.array([[(1 << vx) & 255, bx, tx], [0, (1 << vy) & 255, ty]], dtype=np.uint8)
+            for vx, bx, tx, vy, ty in cosets
+        ]
+    if cosets is None:  # no blocks: the known bytes alone
+        cosets = [row_coset(*rows.T) for rows in carry]
+    top, bot = map(two_smallest, cosets)
+    keys = [top[i] + bot[j] for i, j in ((0, 0), (0, 1), (1, 0)) if i < len(top) and j < len(bot)]
+    return keys[:2]
 
 
 def _hill_outcome(keys: list, tested: int, start: float) -> AttackOutcome:
@@ -164,19 +170,16 @@ def kpa_recover_hill_key(samples: Sequence[KpaSample]) -> AttackOutcome:
     sides = [s.plaintext for s in samples], [s.ciphertext for s in samples]
     if any(set(map(len, side)) != {4} for side in sides):
         raise ValueError("every sample block must have 4 values")
-    pblocks, cblocks = (np.fromiter(chain.from_iterable(side), np.int64) for side in sides)
-    keys = _hill_keys(pblocks.reshape(-1, 4), cblocks.reshape(-1, 4))
+    flat = (np.fromiter(chain.from_iterable(side), np.int64) for side in sides)
+    keys = _hill_keys([[bytes_mod256(x).reshape(-1, 4) for x in flat]])
     return _hill_outcome(keys, int(len(keys) == 1), start)
 
 
 def brute_force_hill(
-    plain: GrayImage,
-    cipher: GrayImage,
-    mask: KeyMask,
-    *,
-    allow_full_search: bool = False,
+    plain, cipher, mask: KeyMask, *, allow_full_search: bool = False
 ) -> AttackOutcome:
-    """Find the keys consistent with the mask that map plain to cipher.
+    """Find the keys consistent with the mask that map plain to cipher,
+    GrayImages or PgmSources, read one chunk at a time.
 
     The result is that of a scan over the mask's candidates in ascending
     (k11, k12, k21, k22) order that goes on after a hit and reports
@@ -192,13 +195,13 @@ def brute_force_hill(
     Raises KeyNotFoundError when no candidate matches.
     """
     start = time.perf_counter()
-    if plain.pixels.shape != cipher.pixels.shape:
+    if (plain.width, plain.height) != (cipher.width, cipher.height):
         raise DimensionMismatchError("plaintext/ciphertext size mismatch")
     if len(mask.unknown_positions) == 4 and not allow_full_search:
-        raise SearchRefusedError(
-            "full 2^32 search refused; pass allow_full_search=True"
-        )
-    keys = _hill_keys(blocks_of(plain), blocks_of(cipher), mask.values)
+        raise SearchRefusedError("full 2^32 search refused; pass allow_full_search=True")
+    block_count(plain)
+    pairs = ((p.reshape(-1, 4), c.reshape(-1, 4)) for p, c in zip(plain.chunks(), cipher.chunks()))
+    keys = _hill_keys(pairs, mask.values)
     if not keys:
         raise KeyNotFoundError("no key matches the image pair", mask.candidate_count)
     tested = mask.candidate_count
@@ -212,6 +215,10 @@ def brute_force_hill(
 # ---------------------------------------------------------------------------
 
 
+# The bytes of a block that dwc_partial_recover gets back exactly.
+_EXACT_BYTES = (False, True, True, True)
+
+
 def dwc_partial_recover(cipher: GrayImage) -> tuple[GrayImage, np.ndarray]:
     """Keyless recovery: invert the public core transform and strip the
     counter.  Bytes 1..3 of every block come back as exact plaintext (75%
@@ -222,22 +229,20 @@ def dwc_partial_recover(cipher: GrayImage) -> tuple[GrayImage, np.ndarray]:
     pixels.
     """
     recovered = dwc_decrypt(cipher, 0)
-    mask = np.ones((cipher.size // 4, 4), dtype=bool)
-    mask[:, 0] = False
+    mask = np.tile(_EXACT_BYTES, block_count(cipher))
     return recovered, mask.reshape(cipher.height, cipher.width)
 
 
-def rle_mask(mask: np.ndarray) -> str:
-    """Run-length encode a boolean mask (row-major) as 'value:length' runs."""
-    flat = np.asarray(mask, dtype=np.uint8).ravel()
-    if flat.size == 0:
-        return ""
-    boundaries = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [flat.size]))
-    return ",".join(
-        f"{int(flat[s])}:{int(e - s)}" for s, e in zip(starts, ends)
-    )
+def dwc_partial_summary(blocks: int) -> tuple[float, Iterator[str]]:
+    """The percentage of exact bytes in dwc_partial_recover's mask for an
+    image of that many blocks, and the mask run-length encoded row-major as
+    'value:length' runs joined by ',', in pieces of up to MAP_CHUNK blocks.
+    A block starts inexact and ends exact, so its runs never merge with the
+    next block's."""
+    runs = ",".join(f"{int(v)}:{len(list(g))}" for v, g in groupby(_EXACT_BYTES))
+    pieces = (",".join([runs] * min(MAP_CHUNK, blocks - s)) for s in range(0, blocks, MAP_CHUNK))
+    percent = 100.0 * sum(_EXACT_BYTES) / len(_EXACT_BYTES)
+    return percent, (("," if s else "") + piece for s, piece in enumerate(pieces))
 
 
 @functools.cache
@@ -247,8 +252,27 @@ def _xor_index() -> np.ndarray:
     return (((x ^ x.T) << 8) | x).ravel()
 
 
-def smoothness_scores(cipher: GrayImage) -> list[int]:
-    """Smoothness deviation of each key's candidate plaintext, indexed by key.
+def _median_histogram(cipher) -> np.ndarray:
+    """The uint32 joint histogram h[m, x] of (median of bytes 1..3, byte 0)
+    over the blocks of the keyless decryption.  A chunk is decrypted half
+    at a time: the decryption's temporaries, about 20 bytes a block, and
+    the 256 KiB histogram then stay under 1 MiB together."""
+    decrypt = dwc_decrypt_kernel(cipher, 0)
+    h = np.zeros(65536, dtype=np.uint32)
+    start, step = 0, MAP_CHUNK // 2
+    for chunk in cipher.chunks():
+        for s in range(0, chunk.size // 4, step):
+            partial = decrypt(chunk[4 * s : 4 * (s + step)].reshape(-1, 4), start + s)
+            a, b, c = partial[:, 1:4].T
+            med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+            np.add.at(h, (med.astype(np.uint16) << 8) | partial[:, 0], np.uint32(1))
+        start += chunk.size // 4
+    return h.reshape(256, 256)
+
+
+def smoothness_scores(cipher) -> list[int]:
+    """Smoothness deviation of each key's candidate plaintext, indexed by
+    key, for a GrayImage or PgmSource read one chunk at a time.
 
     The keyless core inversion is shared across candidates (that sharing
     is the cipher's flaw); candidate k then differs only in byte 0 of each
@@ -257,20 +281,18 @@ def smoothness_scores(cipher: GrayImage) -> list[int]:
     byte 0) scores all keys: prefix sums over m give g[y, x] =
     sum_m h[m, x] * |y - m|, and key k's deviation is the sum over x of
     g[x ^ k, x].  Wrapping uint32 is exact: every entry and sum lies in
-    [0, 255 * N] for N blocks, and dwc_decrypt refuses N >= 2^24, so 255 * N < 2^32.
+    [0, 255 * N] for N blocks, and the dwc kernel refuses N >= 2^24, so
+    255 * N < 2^32.  No step holds more than three 256 KiB tables.
     """
-    partial = blocks_of(dwc_decrypt(cipher, 0))
-    a, b, c = partial[:, 1:4].T
-    med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-    h = np.bincount((med.astype(np.uint16) << 8) | partial[:, 0], minlength=65536)
-    h = h.reshape(256, 256)
+    h = _median_histogram(cipher)
     y = np.arange(256, dtype=np.uint32)[:, None]
-    below = np.cumsum(h, axis=0, dtype=np.uint32)  # blocks with median <= y
-    g = np.multiply(h, y, dtype=np.uint32, casting="unsafe")
+    g = h * y
+    np.cumsum(h, axis=0, out=h)  # blocks with median <= y
     np.cumsum(g, axis=0, out=g)  # medians <= y, summed
-    del h  # 512 KiB; the rest of the call needs only the uint32 tables
-    # sum_m h * |y - m| = (all medians) - 2 * (those <= y) + y * (2 * below - all blocks)
-    g[...] = g[-1] - (g << 1) + ((below << 1) - below[-1]) * y
+    # sum_m h * |y - m| = (all medians) - 2 * (those <= y) + y * (2 * (blocks <= y) - all blocks)
+    blocks, medians = h[-1].copy(), g[-1].copy()  # numpy copies a whole out it overlaps
+    np.subtract(medians, g << 1, out=g)
+    g += np.subtract(h << 1, blocks, out=h) * y
     dev = np.take(g, _xor_index()).reshape(256, 256).sum(axis=0, dtype=np.uint32)
     return dev.tolist()
 
@@ -330,11 +352,7 @@ def fixed_point_census(key: HillKey, sample_count: int, seed: int) -> FixedPoint
         # each block and its image compared as one 32-bit word
         fixed_rows = (hill_apply(sample, key.k).view("<u4") == sample.view("<u4"))[:, 0]
         found.extend(map(tuple, sample[fixed_rows].tolist()))
-    return FixedPointCensus(
-        diagonal_fixed=diag_fixed,
-        sampled_tested=sample_count,
-        sampled_fixed=found,
-    )
+    return FixedPointCensus(diag_fixed, sample_count, found)
 
 
 @dataclass(frozen=True)
@@ -355,16 +373,15 @@ class BlockHistogram:
 
 def ecb_repeat_detector(cipher: GrayImage) -> BlockHistogram:
     """Histogram of duplicate blocks: codebook encryption copies plaintext
-    block equality straight into the ciphertext."""
+    block equality straight into the ciphertext.
+
+    The only attack that holds the image whole: np.unique sorts every
+    block word at once.  A call takes about 6x the pixels on top of the
+    image, so attack ecb-scan peaks near 7x, 28-29 MiB traced at 2048^2.
+    """
     blocks = blocks_of(cipher)
     words = np.ascontiguousarray(blocks).view("<u4").ravel()
     values, counts = np.unique(words, return_counts=True)
     top = int(np.argmax(counts))
-    v = int(values[top])
-    block = (v & 0xFF, (v >> 8) & 0xFF, (v >> 16) & 0xFF, (v >> 24) & 0xFF)
-    return BlockHistogram(
-        total_blocks=int(words.size),
-        distinct_blocks=int(values.size),
-        largest_class_size=int(counts[top]),
-        largest_class_block=block,
-    )
+    block = tuple(int(values[top]).to_bytes(4, "little"))  # the word's bytes in block order
+    return BlockHistogram(words.size, values.size, int(counts[top]), block)

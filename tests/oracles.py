@@ -1,12 +1,13 @@
 """Reference forms shared by several test files: the closed-form metric
 expectations of the calibration pairs, the full expansion of a Z/256 row
-coset, and the Hill layer's 4x4 block matrix written out entry by entry."""
+coset, the Hill layer's 4x4 block matrix written out entry by entry, the
+whole-array Hill key solve, and a general run-length code."""
 
 import math
 
 import numpy as np
 
-from cipher_autopsy.algebra import bytes_mod256, row_coset
+from cipher_autopsy.algebra import bytes_mod256, row_coset, two_smallest
 
 
 def reference_expectations() -> dict[str, float]:
@@ -60,3 +61,34 @@ def solve_rows_mod256(a, b, t) -> np.ndarray:
     """Every (x, y) with a[i]*x + b[i]*y = t[i] (mod 256) for all rows i,
     as an ascending (m, 2) int64 array, m = 0 when the rows are inconsistent."""
     return coset_pairs(row_coset(*(bytes_mod256(r) for r in (a, b, t))))
+
+
+def hill_keys(pblocks, cblocks, known=(None, None, None, None)) -> list[tuple[int, int, int, int]]:
+    """The two smallest keys that map every plaintext block to its
+    ciphertext block and agree with the known key bytes, from one solve
+    over all the blocks at once: the reference for the program's chunk
+    fold.  A block pair with c_bot - c_top != p_top - p_bot fits no
+    key; otherwise each key row is one system over Z/256, the known bytes
+    its extra equations."""
+    p0, p1, p2, p3 = bytes_mod256(pblocks).T
+    c0, c1, c2, c3 = bytes_mod256(cblocks).T
+    d0, d1 = p0 - p2, p1 - p3
+    if ((c2 - c0 != d0) | (c3 - c1 != d1)).any():
+        return []
+    rows = []
+    for r, t in enumerate((c0 - p2, c1 - p3)):
+        extra = [(1 - j, j, v) for j, v in enumerate(known[2 * r : 2 * r + 2]) if v is not None]
+        eqs = zip((d0, d1, t), bytes_mod256(extra).reshape(-1, 3).T)
+        rows.append(two_smallest(row_coset(*(np.concatenate(col) for col in eqs))))
+    top, bot = rows
+    keys = [top[i] + bot[j] for i, j in ((0, 0), (0, 1), (1, 0)) if i < len(top) and j < len(bot)]
+    return keys[:2]
+
+
+def rle(mask) -> str:
+    """Run-length code of a boolean array, row-major, as 'value:length'
+    runs joined by ','."""
+    flat = np.asarray(mask, dtype=np.uint8).ravel()
+    starts = np.flatnonzero(np.diff(flat, prepend=2))  # every run start; 2 is no byte value
+    lengths = np.diff(starts, append=flat.size)
+    return ",".join(f"{flat[s]}:{n}" for s, n in zip(starts, lengths))

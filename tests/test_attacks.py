@@ -19,7 +19,6 @@ from cipher_autopsy.attacks import (
     ecb_repeat_detector,
     fixed_point_census,
     kpa_recover_hill_key,
-    rle_mask,
     smoothness_scores,
 )
 from cipher_autopsy.dwc import dwc_decrypt, dwc_encrypt
@@ -435,13 +434,6 @@ def test_partial_recovery_zero_image():
     rb = blocks_of(recovered)
     assert not rb[:, 1:].any()
     assert np.unique(rb[:, 0]).tolist() == [key]
-
-
-def test_rle_mask_format():
-    mask = np.array([[False, True, True, True], [False, True, True, True]])
-    assert rle_mask(mask) == "0:1,1:3,0:1,1:3"
-    assert rle_mask(np.ones((2, 2), dtype=bool)) == "1:4"
-    assert rle_mask(np.zeros((0,), dtype=bool)) == ""
 
 
 # --- fixed points ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The CLI's P5 stream.
 
-encrypt, decrypt and metrics read a large P5 file one chunk at a time and
-rewrite an existing output in place, then trim it.  The output bytes, exit
+encrypt, decrypt, metrics and the attacks brute-hill, brute-dwc and
+dwc-partial read a large P5 file one chunk at a time; the image outputs
+rewrite an existing file in place, then trim it.  The output bytes, exit
 codes and messages are those of the whole-image library path; an error
 raised before the first write leaves an existing output untouched; and the
 memory a command takes does not grow with the image.
@@ -14,8 +15,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import rle
 
-from cipher_autopsy import cli, dwc, ecchc, metrics
+from cipher_autopsy import attacks, cli, dwc, ecchc, metrics
 from cipher_autopsy.imagekit import (
     MAP_CHUNK,
     GrayImage,
@@ -246,13 +248,17 @@ def test_a_file_that_shrinks_while_it_is_read_is_a_truncation_error(tmp_path):
         ["encrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
         ["decrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
         ["metrics", "--in", "{plain}", "--enc", "{other}"],
+        ["attack", "brute-hill", "--in", "{plain}", "--enc", "{hill}", "--mask", KEYS["ecchc"][:4] + "????"],
+        ["attack", "brute-dwc", "--enc", "{plain}"],
     ],
-    ids=["encrypt-ecchc", "decrypt-ecchc", "encrypt-dwc", "decrypt-dwc", "metrics"],
+    ids=["encrypt-ecchc", "decrypt-ecchc", "encrypt-dwc", "decrypt-dwc", "metrics", "brute-hill", "brute-dwc"],
 )
 def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, argv):
-    paths = {name: tmp_path / f"{name}.pgm" for name in ("plain", "other", "out")}
-    save_pgm(gen_photo(0, 2048, 2048), paths["plain"])
+    paths = {name: tmp_path / f"{name}.pgm" for name in ("plain", "other", "hill", "out")}
+    plain = gen_photo(0, 2048, 2048)
+    save_pgm(plain, paths["plain"])
     save_pgm(gen_photo(1, 2048, 2048), paths["other"])
+    save_pgm(LIBRARY["encrypt", "ecchc"](plain), paths["hill"])  # a pair that the key fits
     argv = [arg.format(**paths) for arg in argv]
     assert cli.main(argv) == 0  # first use builds the dwc tables and the parser
     tracemalloc.start()
@@ -263,3 +269,75 @@ def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, argv):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak < 1 << 20
+
+
+def test_a_2048_square_dwc_partial_peaks_under_20_mib(tmp_path, capsys):
+    # the recovered image streams; the stdout line, an 8 MiB run-length
+    # code held by the capture, is the rest
+    paths = {name: tmp_path / f"{name}.pgm" for name in ("enc", "out", "decrypted")}
+    save_pgm(gen_photo(0, 2048, 2048), paths["enc"])
+    argv = ["attack", "dwc-partial", "--enc", paths["enc"], "--out", paths["out"]]
+    assert _run(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([str(a) for a in argv]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 20 << 20
+    argv = ["decrypt", "--alg", "dwc", "--key", "00", "--in", paths["enc"], "--out", paths["decrypted"]]
+    assert _run(capsys, *argv) == (0, "", "")
+    assert paths["out"].read_bytes() == paths["decrypted"].read_bytes()
+
+
+# --- the attacks' summaries and errors -------------------------------------------
+
+
+def test_dwc_partial_rle_is_the_run_length_code_of_the_mask(tmp_path, capsys):
+    # (height, width): 4x1, 2x2, 6x2, 3x4 and 1x8 in width x height, then one streamed
+    for shape in [(1, 4), (2, 2), (2, 6), (4, 3), (8, 1), (402, 1000)]:
+        img = _image(shape)
+        enc, out = tmp_path / "enc.pgm", tmp_path / "out.pgm"
+        enc.write_bytes(_p5(img))
+        recovered, mask = attacks.dwc_partial_recover(img)
+        code, stdout, err = _run(capsys, "attack", "dwc-partial", "--enc", enc)
+        doc = json.loads(stdout)
+        assert (code, err, list(doc)) == (0, "", ["recovered_bytes_percent", "recovered_mask_rle", "elapsed_ms"])
+        assert (doc["recovered_bytes_percent"], doc["recovered_mask_rle"]) == (75.0, rle(mask)), shape
+        assert sorted(os.listdir(tmp_path)) == ["enc.pgm"]  # without --out, no image
+        assert _run(capsys, "attack", "dwc-partial", "--enc", enc, "--out", out)[0] == 0
+        assert out.read_bytes() == _p5(recovered)
+        out.unlink()
+
+
+def test_attack_errors_come_input_cipher_mask_dimensions_refusal_blockability(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.pgm" for name in ("good", "wide", "odd", "short")}
+    paths["good"].write_bytes(_p5(_image((402, 1000))))
+    paths["wide"].write_bytes(_p5(_image((1000, 402))))
+    paths["odd"].write_bytes(_p5(_image((401, 999))))
+    paths["short"].write_bytes(_p5(_image((402, 1000)))[:-7])
+    short = f"{paths['short']}: expected 402000 pixels, got 401993"
+    missing = f"[Errno 2] No such file or directory: '{tmp_path / 'missing.pgm'}'"
+    directory = f"[Errno 21] Is a directory: '{tmp_path}'"
+    odd = "pixel count 400599 is not a multiple of 4"
+    cases = [
+        (["brute-hill", "--in", "{short}", "--enc", "{missing}", "--mask", "zz"], 3, short),
+        (["brute-hill", "--in", "{good}", "--enc", "{short}", "--mask", "zz"], 3, short),
+        (["brute-hill", "--in", "{good}", "--enc", "{wide}", "--mask", "zz"], 4,
+         "bad mask 'zz': mask must be 8 characters (4 byte slots)"),
+        (["brute-hill", "--in", "{good}", "--enc", "{wide}"], 3, "plaintext/ciphertext size mismatch"),
+        (["brute-hill", "--in", "{odd}", "--enc", "{odd}"], 5, "full 2^32 search refused; pass allow_full_search=True"),
+        (["brute-hill", "--in", "{odd}", "--enc", "{odd}", "--full", "--out", "{dir}"], 3, odd),
+        (["brute-hill", "--in", "{good}", "--enc", "{good}", "--mask", "01??02??"], 5, "no key matches the image pair"),
+        (["brute-dwc", "--enc", "{missing}", "--out", "{dir}"], 3, missing),
+        (["brute-dwc", "--enc", "{odd}", "--out", "{dir}"], 3, odd),
+        (["brute-dwc", "--enc", "{good}", "--out", "{dir}"], 3, directory),
+        (["dwc-partial", "--enc", "{short}", "--out", "{dir}"], 3, short),
+        (["dwc-partial", "--enc", "{odd}", "--out", "{dir}"], 3, odd),
+        (["dwc-partial", "--enc", "{good}", "--out", "{dir}"], 3, directory),
+    ]
+    names = {**paths, "missing": tmp_path / "missing.pgm", "dir": tmp_path}
+    for argv, code, message in cases:
+        result = _run(capsys, "attack", *(arg.format(**names) for arg in argv))
+        assert (result[0], result[1], _error(result[2])) == (code, "", (code, message)), argv

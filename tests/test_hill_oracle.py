@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_matrix
+from oracles import block_matrix, hill_keys
 
+from cipher_autopsy import attacks, imagekit
 from cipher_autopsy.attacks import (
     AttackStatus,
     KeyMask,
@@ -21,8 +22,8 @@ from cipher_autopsy.attacks import (
     brute_force_hill,
     kpa_recover_hill_key,
 )
-from cipher_autopsy.ecchc import ecchc_encrypt, expand_key
-from cipher_autopsy.imagekit import GrayImage, blocks_of
+from cipher_autopsy.ecchc import ecchc_encrypt, expand_key, hill_apply
+from cipher_autopsy.imagekit import GrayImage, blocks_of, open_pgm, save_pgm
 
 _GRID = np.stack(
     np.meshgrid(np.arange(256), np.arange(256), indexing="ij"), axis=-1
@@ -164,3 +165,71 @@ def test_kpa_status_matches_oracle(data):
     else:
         assert outcome.recovered_key is None
         assert outcome.candidates_tested == 0
+
+
+# --- the chunk fold against the whole-array solve ------------------------------
+
+# differences of every 2-adic valuation, the high ones most often
+HIGH_VALUATION = st.sampled_from((0, 128, 64, 192, 32, 96, 16, 8, 4, 2, 1)) | byte
+
+
+@st.composite
+def block_systems(draw):
+    """Plaintext/ciphertext block arrays under a drawn key: each plaintext
+    block's halves differ by bytes of high valuation, and one ciphertext
+    block may be tampered, either breaking c_bot - c_top = d or shifting
+    both halves alike so that only the row solve can tell."""
+    n = draw(st.integers(1, 24))
+    bot = np.array(draw(st.lists(byte, min_size=2 * n, max_size=2 * n)), dtype=np.uint8)
+    d = np.array(draw(st.lists(HIGH_VALUATION, min_size=2 * n, max_size=2 * n)), dtype=np.uint8)
+    plain = np.concatenate([(bot + d).reshape(n, 2), bot.reshape(n, 2)], axis=1)
+    key = tuple(draw(st.sampled_from((0, 1, 2, 127, 128, 255)) | byte) for _ in range(4))
+    cipher = hill_apply(plain, (key[:2], key[2:]))
+    tamper = draw(st.sampled_from(("none", "none", "byte", "both halves")))
+    if tamper != "none":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+        cols = [j, j + 2] if tamper == "both halves" else [j]
+        cipher[i, cols] += np.uint8(1 << draw(st.integers(0, 7)))
+    return plain, cipher, key
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_chunk_fold_finds_the_keys_of_the_whole_array_solve(data):
+    plain, cipher, key = data.draw(block_systems())
+    known = data.draw(masks(key)).values
+    expected = hill_keys(plain, cipher, known)
+    for size in (1, 2, 3, 7):
+        chunks = [(plain[s : s + size], cipher[s : s + size]) for s in range(0, len(plain), size)]
+        assert attacks._hill_keys(chunks, known) == expected, size
+
+
+@pytest.mark.parametrize("pixels", [4, 8, 12, 28])
+@pytest.mark.parametrize("source", ["image", "file"])
+def test_brute_force_hill_is_the_same_at_any_chunk_size(tmp_path, monkeypatch, source, pixels):
+    rng = np.random.default_rng(pixels)
+    plain = GrayImage(rng.integers(0, 4, (6, 10), dtype=np.uint8) * np.uint8(64))
+    key = expand_key(((0x81, 0x40), (0xC0, 0x03)))
+    cases = [
+        (plain, ecchc_encrypt(plain, key), KeyMask.parse("81??c0??")),
+        (plain, ecchc_encrypt(plain, key), KeyMask.parse("????????")),
+        (plain, ecchc_encrypt(plain, key), KeyMask.parse("82??c0??")),
+        (plain, GrayImage(ecchc_encrypt(plain, key).pixels ^ np.uint8(1)), KeyMask.parse("81??c0??")),
+    ]
+
+    def outcome(p, c, mask):
+        try:
+            return brute_force_hill(p, c, mask, allow_full_search=True).to_json_dict() | {"elapsed_ms": 0}
+        except KeyNotFoundError as exc:
+            return exc.candidates_tested
+
+    expected = [outcome(*case) for case in cases]
+    monkeypatch.setattr(imagekit, "_CHUNK_PIXELS", pixels)
+    for i, (p, c, mask) in enumerate(cases):
+        if source == "file":
+            save_pgm(p, tmp_path / "p.pgm")
+            save_pgm(c, tmp_path / "c.pgm")
+            with open_pgm(tmp_path / "p.pgm") as p, open_pgm(tmp_path / "c.pgm") as c:
+                assert outcome(p, c, mask) == expected[i], i
+        else:
+            assert outcome(p, c, mask) == expected[i], i
