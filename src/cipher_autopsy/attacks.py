@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby
 from typing import Iterator, Sequence
@@ -106,8 +106,8 @@ class KeyMask:
 def _hill_keys(pairs, known=(None, None, None, None)) -> list[tuple[int, int, int, int]]:
     """The two lexicographically smallest keys (fewer if fewer exist) that
     map every plaintext block to its ciphertext block and agree with the
-    known key bytes, folded over (plaintext, ciphertext) pairs of (m, 4)
-    uint8 block chunks.
+    known key bytes, folded over one or more (plaintext, ciphertext) pairs
+    of (m, 4) uint8 block chunks.
 
     Every key gives c_bot - c_top = d with d = p_top - p_bot, so a block
     pair that breaks this fits no key.  Otherwise key row r meets each
@@ -121,7 +121,6 @@ def _hill_keys(pairs, known=(None, None, None, None)) -> list[tuple[int, int, in
     """
     eqs = ([(1 - j, j, v) for j, v in enumerate(known[r : r + 2]) if v is not None] for r in (0, 2))
     carry = [bytes_mod256(rows).reshape(-1, 3) for rows in eqs]
-    cosets = None
     for pblocks, cblocks in pairs:
         p0, p1, p2, p3 = pblocks.T
         c0, c1, c2, c3 = cblocks.T
@@ -136,8 +135,6 @@ def _hill_keys(pairs, known=(None, None, None, None)) -> list[tuple[int, int, in
             np.array([[(1 << vx) & 255, bx, tx], [0, (1 << vy) & 255, ty]], dtype=np.uint8)
             for vx, bx, tx, vy, ty in cosets
         ]
-    if cosets is None:  # no blocks: the known bytes alone
-        cosets = [row_coset(*rows.T) for rows in carry]
     top, bot = map(two_smallest, cosets)
     keys = [top[i] + bot[j] for i, j in ((0, 0), (0, 1), (1, 0)) if i < len(top) and j < len(bot)]
     return keys[:2]
@@ -320,7 +317,7 @@ def brute_force_dwc(cipher: GrayImage) -> list[tuple[int, float]]:
 class FixedPointCensus:
     diagonal_fixed: int  # of the 256 blocks (p, p, p, p)
     sampled_tested: int
-    sampled_fixed: list[Block] = field(default_factory=list)
+    sampled_fixed: list[Block]
 
 
 # Samples drawn per step: 2^15 raw words, 256 KiB.

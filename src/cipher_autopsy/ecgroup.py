@@ -86,7 +86,7 @@ class KeyPair:
     public_p: EcPoint
 
 
-# Frozen result of find_demo_curve(1009): first q >= 1009 and smallest
+# Frozen result of find_demo_curve(): first q >= 1009 and smallest
 # (a, b) passing all filters.  |E| = 1009 is prime; G is the affine point
 # with the smallest coordinates.
 DEFAULT_CURVE = CurveParams(q=1009, a=1, b=79, gx=1, gy=9, order_p=1009)
@@ -226,9 +226,10 @@ def count_points(q: int, a: int, b: int) -> int:
     return n
 
 
-def find_demo_curve(q_start: int = 1009, q_stop: int = 5000) -> CurveParams:
-    """Brute-force the default curve: scan primes q upward, then (a, b)
-    in lexicographic order, and accept the first curve with
+def find_demo_curve() -> CurveParams:
+    """Brute-force the default curve: scan the primes q from 1009 to 5000, then
+    (a, b) in lexicographic order with a below 9 (a hit always turns up
+    with tiny coefficients), and accept the first curve with
 
     * nonsingular equation,
     * b a quadratic non-residue (no point with x = 0),
@@ -236,22 +237,17 @@ def find_demo_curve(q_start: int = 1009, q_stop: int = 5000) -> CurveParams:
 
     The generator is the affine point with smallest (x, y).
     """
-    q = q_start
-    while q < q_stop:
-        if _is_prime(q):
-            for a in range(1, q):
-                for b in range(1, q):
-                    if (4 * a * a * a + 27 * b * b) % q == 0:
-                        continue
-                    if _legendre(b, q) == 1:
-                        continue
-                    n = count_points(q, a, b)
-                    if n >= 257 and n >= q and _is_prime(n):
-                        gx, gy = _smallest_point(q, a, b)
-                        return CurveParams(q=q, a=a, b=b, gx=gx, gy=gy, order_p=n)
-                if a >= 8:
-                    break  # a hit always turns up with tiny coefficients
-        q += 1
+    for q in filter(_is_prime, range(1009, 5000)):
+        for a in range(1, 9):
+            for b in range(1, q):
+                if (4 * a * a * a + 27 * b * b) % q == 0:
+                    continue
+                if _legendre(b, q) == 1:
+                    continue
+                n = count_points(q, a, b)
+                if n >= 257 and n >= q and _is_prime(n):
+                    gx, gy = _smallest_point(q, a, b)
+                    return CurveParams(q=q, a=a, b=b, gx=gx, gy=gy, order_p=n)
     raise RuntimeError("no demo curve found in range")
 
 

@@ -49,14 +49,15 @@ class BadCellSizeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """8-bit grayscale raster; pixels shape (height, width), read-only."""
+    """8-bit grayscale raster; pixels shape (height, width), read-only.
+    Never empty, as no PGM is: no metric, cipher or attack meets one."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ValueError("pixels must be a 2-D array")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError("pixels must be a non-empty 2-D array")
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 
@@ -321,20 +322,17 @@ def save_pgm(img: GrayImage, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def gen_checkerboard(cell: int = 32, width: int = 256, height: int = 256) -> GrayImage:
-    """Alternating 0/255 cells, top-left black.
+def gen_checkerboard(cell: int = 32) -> GrayImage:
+    """Alternating 0/255 cells on a 256x256 board, top-left black.
 
     The cell width must be a multiple of 4 so every canonical block falls
     inside one cell; that is what makes the board invariant under the
     Hill-cipher layer.
     """
-    if cell <= 0 or cell % 4 != 0 or width % cell != 0 or height % cell != 0:
-        raise BadCellSizeError(
-            f"cell {cell} must be a positive multiple of 4 dividing {width}x{height}"
-        )
-    row_parity = (np.arange(height) // cell % 2).astype(np.uint8)
-    col_parity = (np.arange(width) // cell % 2).astype(np.uint8)
-    return GrayImage((row_parity[:, None] ^ col_parity) * np.uint8(255))
+    if cell <= 0 or cell % 4 != 0 or 256 % cell != 0:
+        raise BadCellSizeError(f"cell {cell} must be a positive multiple of 4 dividing 256x256")
+    parity = (np.arange(256) // cell % 2).astype(np.uint8)
+    return GrayImage((parity[:, None] ^ parity) * np.uint8(255))
 
 
 def gen_constant(value: int, width: int = 256, height: int = 256) -> GrayImage:

@@ -21,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class EmptyImageError(ValueError):
-    pass
-
-
 class DimensionMismatchError(ValueError):
     pass
 
@@ -72,9 +68,8 @@ def _tally(pairs) -> tuple[np.ndarray, int, int]:
 def evaluate_pair(plain, transformed) -> MetricsReport:
     """The comparison-table row for one (plaintext, ciphertext) pair of
     GrayImages or PgmSources: entropy of the transformed image, PSNR/UACI/MSE
-    of the pair, all from one pass over the two images' chunks."""
-    if transformed.size == 0:
-        raise EmptyImageError("entropy of an empty image is undefined")
+    of the pair, all from one pass over the two images' chunks.  Neither is
+    empty: GrayImage and the PGM header refuse that."""
     if (plain.width, plain.height) != (transformed.width, transformed.height):
         raise DimensionMismatchError(
             f"{plain.width}x{plain.height} vs {transformed.width}x{transformed.height}"

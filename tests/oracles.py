@@ -1,13 +1,16 @@
 """Reference forms shared by several test files: the closed-form metric
 expectations of the calibration pairs, the full expansion of a Z/256 row
-coset, the Hill layer's 4x4 block matrix written out entry by entry, the
-whole-array Hill key solve, and a general run-length code."""
+coset, the Hill layer's 4x4 block matrix written out entry by entry and as
+hill_apply computes it, the whole-array Hill key solve, and a general
+run-length code; and the random Hill key and one-block encryption that
+several files draw their samples with."""
 
 import math
 
 import numpy as np
 
 from cipher_autopsy.algebra import bytes_mod256, row_coset, two_smallest
+from cipher_autopsy.ecchc import HillKey, expand_key, hill_apply
 
 
 def reference_expectations() -> dict[str, float]:
@@ -42,6 +45,23 @@ def block_matrix(k) -> tuple[tuple[int, int, int, int], ...]:
         ((1 + k11) % 256, k12, (-k11) % 256, (-k12) % 256),
         (k21, (1 + k22) % 256, (-k21) % 256, (-k22) % 256),
     )
+
+
+def random_key(rng) -> HillKey:
+    """The Hill key of the 2x2 matrix rng.integers(0, 256, 4) draws, row-major."""
+    k = rng.integers(0, 256, 4)
+    return expand_key(((int(k[0]), int(k[1])), (int(k[2]), int(k[3]))))
+
+
+def encrypt_block(key: HillKey, block) -> tuple:
+    """hill_apply of one block, as a tuple of ints."""
+    return tuple(hill_apply(np.array([block], dtype=np.uint8), key.k)[0].tolist())
+
+
+def applied_matrix(key: HillKey) -> tuple:
+    """The block matrix as hill_apply computes it, as row-major tuples:
+    column j is the image of e_j."""
+    return tuple(map(tuple, hill_apply(np.eye(4, dtype=np.uint8), key.k).T.tolist()))
 
 
 def coset_pairs(coset) -> np.ndarray:

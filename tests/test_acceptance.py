@@ -6,25 +6,11 @@ import os
 import time
 
 import numpy as np
-from oracles import reference_expectations
+from oracles import applied_matrix, encrypt_block, random_key, reference_expectations
 
 from cipher_autopsy import attacks, dwc, ecchc, ecgroup, imagekit, metrics
 
 RNG = np.random.default_rng(0xACCE97)
-
-
-def _random_mat2(rng):
-    k = rng.integers(0, 256, 4)
-    return ((int(k[0]), int(k[1])), (int(k[2]), int(k[3])))
-
-
-def _block_matrix(key) -> np.ndarray:
-    """The 4x4 matrix of the program's Hill layer: column j is hill_apply of e_j."""
-    return ecchc.hill_apply(np.eye(4, dtype=np.uint8), key.k).T.astype(np.int64)
-
-
-def _encrypt_block(key, block) -> tuple:
-    return tuple(ecchc.hill_apply(np.array([block], dtype=np.uint8), key.k)[0].tolist())
 
 
 def test_01_self_invertibility_10k_random_keys():
@@ -32,7 +18,7 @@ def test_01_self_invertibility_10k_random_keys():
     start = time.perf_counter()
     kms = np.empty((10_000, 4, 4), dtype=np.int64)
     for i in range(10_000):
-        kms[i] = _block_matrix(ecchc.expand_key(_random_mat2(rng)))
+        kms[i] = applied_matrix(random_key(rng))
     squares = np.einsum("bij,bjk->bik", kms, kms) % 256
     failures = int(np.count_nonzero(np.any(squares != np.eye(4, dtype=np.int64), axis=(1, 2))))
     elapsed = time.perf_counter() - start
@@ -46,7 +32,7 @@ def test_02_diagonal_fixed_points_100_keys():
     diag = np.repeat(np.arange(256, dtype=np.int64)[:, None], 4, axis=1)
     failures = 0
     for _ in range(100):
-        km = _block_matrix(ecchc.expand_key(_random_mat2(rng)))
+        km = np.array(applied_matrix(random_key(rng)))
         fixed = np.all((diag @ km.T) % 256 == diag, axis=1)
         failures += int(np.count_nonzero(~fixed))
     assert failures == 0
@@ -57,7 +43,7 @@ def test_03_checkerboard_invariance_and_exact_row():
     rng = np.random.default_rng(103)
     board = imagekit.gen_checkerboard()
     for _ in range(100):
-        key = ecchc.expand_key(_random_mat2(rng))
+        key = random_key(rng)
         assert ecchc.ecchc_encrypt(board, key) == board
     report = metrics.evaluate_pair(board, board)
     row = (
@@ -175,7 +161,7 @@ def test_07_drawing_rows():
     rng = np.random.default_rng(107)
     for seed in range(4):
         drawing = imagekit.gen_drawing(seed)
-        hill = ecchc.expand_key(_random_mat2(rng))
+        hill = random_key(rng)
         enc_hill = ecchc.ecchc_encrypt(drawing, hill)
         enc_dwc = dwc.dwc_encrypt(drawing, int(rng.integers(256)))
         ent_hill = metrics.evaluate_pair(drawing, enc_hill).entropy_bits
@@ -189,11 +175,11 @@ def test_08_kpa_bulk_recovery():
     rng = np.random.default_rng(108)
     trial_inputs = []
     for _ in range(1000):
-        key = ecchc.expand_key(_random_mat2(rng))
+        key = random_key(rng)
         samples = []
         for _ in range(10):
             p = tuple(int(x) for x in rng.integers(0, 256, 4))
-            samples.append(attacks.KpaSample(p, _encrypt_block(key, p)))
+            samples.append(attacks.KpaSample(p, encrypt_block(key, p)))
         trial_inputs.append((key, samples))
 
     start = time.perf_counter()
@@ -207,16 +193,16 @@ def test_08_kpa_bulk_recovery():
             assert outcome.recovered_key == key.key_hex
             recovered = ecchc.HillKey.from_hex(outcome.recovered_key)
             assert all(
-                _encrypt_block(recovered, s.plaintext) == s.ciphertext
+                encrypt_block(recovered, s.plaintext) == s.ciphertext
                 for s in samples
             )
     assert unique >= 990  # >= 99%
     assert elapsed < 1.0
 
     for _ in range(100):
-        key = ecchc.expand_key(_random_mat2(rng))
+        key = random_key(rng)
         p = tuple(int(x) for x in rng.integers(0, 256, 4))
-        single = [attacks.KpaSample(p, _encrypt_block(key, p))]
+        single = [attacks.KpaSample(p, encrypt_block(key, p))]
         assert attacks.kpa_recover_hill_key(single).status is attacks.AttackStatus.AMBIGUOUS
     print(
         "ACCEPTANCE 08 PASS: %d/1000 unique (ambiguity rate %.2f%%), sound, %.3fs; single samples always ambiguous"
@@ -296,7 +282,7 @@ def test_12_ecb_detector():
     rng = np.random.default_rng(112)
     board = imagekit.gen_checkerboard()
     hill_hist = attacks.ecb_repeat_detector(
-        ecchc.ecchc_encrypt(board, ecchc.expand_key(_random_mat2(rng)))
+        ecchc.ecchc_encrypt(board, random_key(rng))
     )
     assert hill_hist.distinct_blocks == 2
     dwc_hist = attacks.ecb_repeat_detector(dwc.dwc_encrypt(board, 0x44))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_matrix, solve_rows_mod256
+from oracles import block_matrix, encrypt_block, random_key, solve_rows_mod256
 
 from cipher_autopsy import attacks
 from cipher_autopsy.attacks import (
@@ -34,20 +34,11 @@ from cipher_autopsy.imagekit import (
 )
 
 
-def _key_from(rng):
-    k = rng.integers(0, 256, 4)
-    return expand_key(((int(k[0]), int(k[1])), (int(k[2]), int(k[3]))))
-
-
-def _encrypt_block(key, block) -> tuple:
-    return tuple(hill_apply(np.array([block], dtype=np.uint8), key.k)[0].tolist())
-
-
 def _samples_for(key, rng, count):
     out = []
     for _ in range(count):
         p = tuple(int(x) for x in rng.integers(0, 256, 4))
-        out.append(KpaSample(plaintext=p, ciphertext=_encrypt_block(key, p)))
+        out.append(KpaSample(plaintext=p, ciphertext=encrypt_block(key, p)))
     return out
 
 
@@ -60,7 +51,7 @@ def test_kpa_recovers_planted_keys():
     rng = np.random.default_rng(50)
     unique = 0
     for _ in range(200):
-        key = _key_from(rng)
+        key = random_key(rng)
         outcome = kpa_recover_hill_key(_samples_for(key, rng, 10))
         if outcome.status is AttackStatus.UNIQUE:
             unique += 1
@@ -72,21 +63,21 @@ def test_kpa_recovers_planted_keys():
 
 def test_kpa_soundness_recovered_key_reencrypts():
     rng = np.random.default_rng(51)
-    key = _key_from(rng)
+    key = random_key(rng)
     samples = _samples_for(key, rng, 6)
     outcome = kpa_recover_hill_key(samples)
     from cipher_autopsy.ecchc import HillKey
 
     recovered = HillKey.from_hex(outcome.recovered_key)
     for s in samples:
-        assert _encrypt_block(recovered, s.plaintext) == s.ciphertext
+        assert encrypt_block(recovered, s.plaintext) == s.ciphertext
 
 
 def test_kpa_fixed_point_samples_are_ambiguous():
     rng = np.random.default_rng(52)
-    key = _key_from(rng)
+    key = random_key(rng)
     samples = [
-        KpaSample((p, p, p, p), _encrypt_block(key, (p, p, p, p)))
+        KpaSample((p, p, p, p), encrypt_block(key, (p, p, p, p)))
         for p in (0, 9, 200, 255)
     ]
     assert kpa_recover_hill_key(samples).status is AttackStatus.AMBIGUOUS
@@ -94,7 +85,7 @@ def test_kpa_fixed_point_samples_are_ambiguous():
 
 def test_kpa_single_sample_is_ambiguous():
     rng = np.random.default_rng(53)
-    key = _key_from(rng)
+    key = random_key(rng)
     sample = _samples_for(key, rng, 1)
     assert kpa_recover_hill_key(sample).status is AttackStatus.AMBIGUOUS
 
@@ -102,7 +93,7 @@ def test_kpa_single_sample_is_ambiguous():
 def test_single_sample_truly_underdetermines_the_key():
     # exhaustive scan: many (k11, k12) rows are consistent with one block
     rng = np.random.default_rng(54)
-    key = _key_from(rng)
+    key = random_key(rng)
     (sample,) = _samples_for(key, rng, 1)
     p, c = sample.plaintext, sample.ciphertext
     a = (p[0] - p[2]) % 256
@@ -120,9 +111,9 @@ def test_kpa_inconsistent_samples():
     key_b = expand_key(((90, 200), (17, 33)))
     plains = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
     samples = [
-        KpaSample(plains[0], _encrypt_block(key_a, plains[0])),
-        KpaSample(plains[1], _encrypt_block(key_a, plains[1])),
-        KpaSample(plains[2], _encrypt_block(key_b, plains[2])),
+        KpaSample(plains[0], encrypt_block(key_a, plains[0])),
+        KpaSample(plains[1], encrypt_block(key_a, plains[1])),
+        KpaSample(plains[2], encrypt_block(key_b, plains[2])),
     ]
     assert kpa_recover_hill_key(samples).status is AttackStatus.INCONSISTENT
 
@@ -132,7 +123,7 @@ def test_kpa_detects_tampered_redundant_rows():
     # tampered row 2 cannot come from any key
     key = expand_key(((41, 42), (43, 44)))
     plains = [(1, 0, 0, 0), (0, 1, 0, 0)]
-    good = [KpaSample(p, _encrypt_block(key, p)) for p in plains]
+    good = [KpaSample(p, encrypt_block(key, p)) for p in plains]
     c = good[0].ciphertext
     bad = KpaSample(good[0].plaintext, (c[0], c[1], (c[2] + 1) % 256, c[3]))
     outcome = kpa_recover_hill_key([bad, good[1]])
@@ -163,7 +154,7 @@ def test_out_of_range_inputs_are_read_mod_256():
         KpaSample((-511, -254, 0, 256), (247, -114, 248, -112)),
         KpaSample((-512, -255, 0, 256), (250, -249, 250, -248)),
     ]
-    assert [_encrypt_block(key, tuple(v % 256 for v in s.plaintext)) for s in samples] == [
+    assert [encrypt_block(key, tuple(v % 256 for v in s.plaintext)) for s in samples] == [
         tuple(v % 256 for v in s.ciphertext) for s in samples
     ]
     assert kpa_recover_hill_key(samples).recovered_key == "03fa8007"
@@ -203,7 +194,7 @@ def test_kpa_ambiguous_exactly_when_no_odd_determinant_pair():
     ambiguous = 0
     trials = 1000
     for _ in range(trials):
-        key = _key_from(rng)
+        key = random_key(rng)
         samples = _samples_for(key, rng, 2)
         diffs = [
             ((p[0] - p[2]) % 256, (p[1] - p[3]) % 256)
@@ -442,7 +433,7 @@ def test_partial_recovery_zero_image():
 def test_census_diagonal_always_256():
     rng = np.random.default_rng(63)
     for _ in range(10):
-        census = fixed_point_census(_key_from(rng), sample_count=512, seed=1)
+        census = fixed_point_census(random_key(rng), sample_count=512, seed=1)
         assert census.diagonal_fixed == 256
         assert census.sampled_tested == 512
 
@@ -453,7 +444,7 @@ def test_census_swap_matrix_fixes_paired_blocks():
     rng = np.random.default_rng(64)
     for _ in range(200):
         a, b = int(rng.integers(256)), int(rng.integers(256))
-        assert _encrypt_block(key, (a, b, a, b)) == (a, b, a, b)
+        assert encrypt_block(key, (a, b, a, b)) == (a, b, a, b)
 
 
 def test_census_reports_sampled_hits():
@@ -462,7 +453,7 @@ def test_census_reports_sampled_hits():
     # swap-symmetric blocks occur ~ every 2^16 samples; all hits must verify
     assert census.sampled_fixed
     for blk in census.sampled_fixed:
-        assert _encrypt_block(key, blk) == blk
+        assert encrypt_block(key, blk) == blk
 
 
 @pytest.mark.parametrize("n", [0, 1, 4096, 100_000, 2**20])
@@ -529,7 +520,7 @@ def test_a_block_is_fixed_only_when_2d_is_0_and_k_minus_i_kills_d(residue):
 
 def test_ecb_detector_checkerboard_two_blocks():
     rng = np.random.default_rng(65)
-    enc = ecchc_encrypt(gen_checkerboard(), _key_from(rng))
+    enc = ecchc_encrypt(gen_checkerboard(), random_key(rng))
     hist = ecb_repeat_detector(enc)
     assert hist.total_blocks == 16384
     assert hist.distinct_blocks == 2
@@ -540,7 +531,7 @@ def test_ecb_detector_drawing_background_class():
     rng = np.random.default_rng(66)
     drawing = gen_drawing(5)
     plain_hist = ecb_repeat_detector(drawing)
-    enc = ecchc_encrypt(drawing, _key_from(rng))
+    enc = ecchc_encrypt(drawing, random_key(rng))
     enc_hist = ecb_repeat_detector(enc)
     # bijective per-block map: the class-size multiset is preserved, so the
     # dominant background class survives encryption at full size
@@ -561,7 +552,7 @@ def test_ecb_detector_dwc_checkerboard_all_distinct():
 
 def test_attack_outcome_json_shape():
     rng = np.random.default_rng(67)
-    key = _key_from(rng)
+    key = random_key(rng)
     outcome = kpa_recover_hill_key(_samples_for(key, rng, 5))
     d = outcome.to_json_dict()
     assert d["status"] == "unique"

@@ -11,6 +11,7 @@ from cipher_autopsy.dwc import dwc_encrypt
 from cipher_autopsy.ecgroup import DegenerateDerivedPointError, EcPoint
 from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, expand_key, hill_apply
 from cipher_autopsy.imagekit import (
+    GrayImage,
     blocks_of,
     gen_checkerboard,
     gen_constant,
@@ -111,7 +112,7 @@ def test_key_text_with_a_sign_space_or_non_ascii_digit_is_rejected(
     with pytest.raises(ValueError):
         parse(text)
     img, out = tmp_path / "a.pgm", tmp_path / "o.pgm"
-    save_pgm(gen_checkerboard(4, 8, 8), img)
+    save_pgm(GrayImage(gen_checkerboard(4).pixels[:8, :8]), img)
     assert run_cli(*(arg.format(text, img=img, out=out) for arg in argv)) == cli.EXIT_KEY
     assert one_error_line(capsys, cli.EXIT_KEY).startswith("bad ")
     assert not out.exists()
@@ -255,6 +256,36 @@ def test_report_picks_up_fixture_dir(tmp_path, capsys, monkeypatch):
     assert code == 0
     out = capsys.readouterr().out
     assert "ecchc,sample," in out and "dwc,sample," in out
+
+
+def test_report_json_rows_are_the_csv_rows(capsys, monkeypatch):
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    assert run_cli("report", "--seed", "1", "--format", "csv") == 0
+    csv_rows = capsys.readouterr().out.strip().splitlines()[1:]
+    code, rows = run_json(capsys, "report", "--seed", "1", "--format", "json")
+    assert code == 0
+    columns = ("algorithm", "image", "entropy", "psnr", "uaci_percent")
+    assert [list(row) for row in rows] == [[*columns, "mse"]] * 6
+    cells = ([v if isinstance(v, str) else f"{v:.4f}" for v in map(row.get, columns)] for row in rows)
+    assert list(map(",".join, cells)) == csv_rows
+    (board,) = (row for row in rows if (row["algorithm"], row["image"]) == ("ecchc", "checkerboard"))
+    assert board["psnr"] == "inf"
+
+
+def test_report_skips_an_unreadable_fixture_with_a_warning(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    assert run_cli("report", "--seed", "1", "--format", "csv") == 0
+    generated = capsys.readouterr().out
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "bad.pgm").write_bytes(b"P7\n")
+    monkeypatch.setenv(cli.FIXTURES_ENV, str(fixtures))
+    assert run_cli("report", "--seed", "1", "--format", "csv") == 0
+    captured = capsys.readouterr()
+    assert captured.out == generated
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"warning": "skipping fixture bad.pgm"}
+    ]
 
 
 # --- attacks ---------------------------------------------------------------------------
@@ -455,7 +486,7 @@ def one_error_line(capsys, code):
 def test_unwritable_out_is_exit_3(tmp_path, capsys, monkeypatch, argv, out):
     monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
     paths = {"dir": tmp_path, "img": tmp_path / "a.pgm", "kpa": tmp_path / "pairs.txt"}
-    save_pgm(gen_checkerboard(4, 8, 8), paths["img"])  # every Hill key fits it
+    save_pgm(GrayImage(gen_checkerboard(4).pixels[:8, :8]), paths["img"])  # every Hill key fits it
     paths["kpa"].write_text("0011223344556677\n")
     out = out.format(**paths)
     code = run_cli(*(arg.format(**paths) for arg in argv), "--out", out)
@@ -473,6 +504,20 @@ def test_kpa_file_that_is_not_utf8_is_exit_3(tmp_path, capsys):
     path.write_bytes(b"0011223344556677\n\xff\xfe\x00\x9c\n")
     assert run_cli("attack", "kpa", "--in", str(path)) == cli.EXIT_FILE
     assert one_error_line(capsys, cli.EXIT_FILE).startswith(f"{path}:2:")
+
+
+def test_kpa_file_of_only_comments_and_blank_lines_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    path.write_text("# no pairs yet\n\n   \n# still none\n")
+    assert run_cli("attack", "kpa", "--in", str(path)) == cli.EXIT_FILE
+    assert one_error_line(capsys, cli.EXIT_FILE) == f"{path}: no sample pairs"
+
+
+def test_p2_sample_that_is_not_a_number_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n1 2 x 4\n")
+    assert run_cli("metrics", "--in", str(path), "--enc", str(path)) == cli.EXIT_FILE
+    assert one_error_line(capsys, cli.EXIT_FILE) == f"{path}: non-numeric sample"
 
 
 def test_kpa_line_that_decodes_short_is_exit_3(tmp_path, capsys):

@@ -333,7 +333,7 @@ def _oracle_counter_masks(n, key):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65535, 65536, 65537])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 65535, 65536, 65537])
 @pytest.mark.parametrize("key", [0x00, 0x5A, 0xFF])
 def test_counter_masks_match_byte_stack_oracle(n, key):
     got = counter_masks(n, key)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_matrix
+from oracles import applied_matrix, block_matrix, encrypt_block, random_key
 
 from cipher_autopsy import cli
 from cipher_autopsy.ecchc import (
@@ -28,20 +28,6 @@ mat2 = st.tuples(st.tuples(byte, byte), st.tuples(byte, byte))
 block = st.tuples(byte, byte, byte, byte)
 
 
-def _random_key(rng) -> HillKey:
-    k = rng.integers(0, 256, 4)
-    return expand_key(((int(k[0]), int(k[1])), (int(k[2]), int(k[3]))))
-
-
-def _encrypt_block(key: HillKey, block) -> tuple:
-    return tuple(hill_apply(np.array([block], dtype=np.uint8), key.k)[0].tolist())
-
-
-def _matrix(key: HillKey) -> tuple:
-    """The block matrix as hill_apply computes it: column j is the image of e_j."""
-    return tuple(map(tuple, hill_apply(np.eye(4, dtype=np.uint8), key.k).T.tolist()))
-
-
 def _self_inverse(k) -> bool:
     m = np.array(block_matrix(k))
     blocks = np.random.default_rng(0).integers(0, 256, (64, 4), dtype=np.uint8)
@@ -53,7 +39,7 @@ def _self_inverse(k) -> bool:
 
 
 def test_expand_zero_matrix():
-    km = _matrix(expand_key(((0, 0), (0, 0))))
+    km = applied_matrix(expand_key(((0, 0), (0, 0))))
     assert km == block_matrix(((0, 0), (0, 0))) == (
         (0, 0, 1, 0),
         (0, 0, 0, 1),
@@ -63,7 +49,7 @@ def test_expand_zero_matrix():
 
 
 def test_expand_identity_matrix():
-    km = _matrix(expand_key(((1, 0), (0, 1))))
+    km = applied_matrix(expand_key(((1, 0), (0, 1))))
     assert km == block_matrix(((1, 0), (0, 1))) == (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -75,15 +61,15 @@ def test_expand_identity_matrix():
 def test_expansion_is_self_invertible_for_1000_random_keys():
     rng = np.random.default_rng(10)
     for _ in range(1000):
-        key = _random_key(rng)
-        assert _matrix(key) == block_matrix(key.k)
+        key = random_key(rng)
+        assert applied_matrix(key) == block_matrix(key.k)
         assert _self_inverse(key.k)
 
 
 @settings(max_examples=200)
 @given(k=mat2)
 def test_expansion_self_invertible_property(k):
-    assert _matrix(expand_key(k)) == block_matrix(k)
+    assert applied_matrix(expand_key(k)) == block_matrix(k)
     assert _self_inverse(expand_key(k).k)
 
 
@@ -104,25 +90,25 @@ def test_key_hex_round_trip():
 def test_diagonal_blocks_are_fixed_points_exhaustive():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        key = _random_key(rng)
+        key = random_key(rng)
         for p in range(256):
-            assert _encrypt_block(key, (p, p, p, p)) == (p, p, p, p)
+            assert encrypt_block(key, (p, p, p, p)) == (p, p, p, p)
 
 
 @settings(max_examples=300)
 @given(k=mat2, p=block)
 def test_structural_redundancy(k, p):
     # rows 2/3 of the expansion repeat rows 0/1 up to a plaintext shift
-    c = _encrypt_block(expand_key(k), p)
+    c = encrypt_block(expand_key(k), p)
     assert (c[2] - c[0]) % 256 == (p[0] - p[2]) % 256
     assert (c[3] - c[1]) % 256 == (p[1] - p[3]) % 256
 
 
 def test_equal_blocks_encrypt_equal():
     rng = np.random.default_rng(12)
-    key = _random_key(rng)
+    key = random_key(rng)
     p = (3, 141, 59, 26)
-    assert _encrypt_block(key, p) == _encrypt_block(key, p)
+    assert encrypt_block(key, p) == encrypt_block(key, p)
 
 
 # --- image-level behaviour ------------------------------------------------------
@@ -132,12 +118,12 @@ def test_checkerboard_invariant_for_any_key():
     board = gen_checkerboard()
     rng = np.random.default_rng(13)
     for _ in range(20):
-        assert ecchc_encrypt(board, _random_key(rng)) == board
+        assert ecchc_encrypt(board, random_key(rng)) == board
 
 
 def test_constant_image_invariant():
     rng = np.random.default_rng(14)
-    key = _random_key(rng)
+    key = random_key(rng)
     for value in (0, 77, 255):
         img = gen_constant(value)
         assert ecchc_encrypt(img, key) == img
@@ -146,7 +132,7 @@ def test_constant_image_invariant():
 def test_round_trip_on_random_images():
     rng = np.random.default_rng(15)
     for i in range(100):
-        key = _random_key(rng)
+        key = random_key(rng)
         img = GrayImage(rng.integers(0, 256, (8, 8), dtype=np.uint8))
         assert ecchc_encrypt(ecchc_encrypt(img, key), key) == img
 
@@ -169,7 +155,7 @@ def test_double_encrypt_is_identity():
 
 def test_image_path_matches_scalar_block_path():
     rng = np.random.default_rng(18)
-    key = _random_key(rng)
+    key = random_key(rng)
     img = GrayImage(rng.integers(0, 256, (16, 16), dtype=np.uint8))
     enc = ecchc_encrypt(img, key)
     expected = (blocks_of(img).astype(np.int64) @ np.array(block_matrix(key.k)).T) % 256
@@ -187,7 +173,7 @@ def test_rejects_odd_dimensions():
 def test_image_path_matches_whole_array_matmul_across_chunks(n):
     # oracle: every block times the expanded 4x4 matrix, in int64, mod 256
     rng = np.random.default_rng(n)
-    key = _random_key(rng)
+    key = random_key(rng)
     img = GrayImage(rng.integers(0, 256, (2 * n, 2), dtype=np.uint8))
     expected = (blocks_of(img).astype(np.int64) @ np.array(block_matrix(key.k)).T) % 256
     enc = ecchc_encrypt(img, key)

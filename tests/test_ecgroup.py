@@ -47,6 +47,12 @@ def test_default_curve_is_valid():
     assert scalar_mul(C.order_p, C.generator, C).is_infinity
 
 
+def test_contains_takes_the_identity_and_refuses_coordinates_outside_the_field():
+    assert C.contains(INFINITY)
+    assert not C.contains(EcPoint(C.q, 0))
+    assert not C.contains(EcPoint(-1, 0))
+
+
 def test_default_curve_matches_fresh_search():
     assert find_demo_curve() == C
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cipher_autopsy.imagekit import (
@@ -281,6 +281,7 @@ def _pgm_inputs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.one_of(_pgm_inputs(), st.binary(max_size=40)))
+@example(data=b"P2\n2 2\n255\n1 2 x 4\n")  # MalformedHeaderError("non-numeric sample")
 def test_read_pgm_matches_the_byte_at_a_time_oracle(data):
     # the same image, or the same error class and message
     assert _parse_outcome(read_pgm, data) == _parse_outcome(_oracle_read_pgm, data)
@@ -369,8 +370,8 @@ def test_photo_determinism_and_shape():
 # --- generators against the full-grid formulas ---------------------------------
 
 
-def _oracle_checkerboard(cell, width, height):
-    y, x = np.mgrid[:height, :width]
+def _oracle_checkerboard(cell):
+    y, x = np.mgrid[:256, :256]
     board = (((x // cell) + (y // cell)) % 2) * np.uint8(255)
     return board.astype(np.uint8)
 
@@ -433,11 +434,9 @@ def test_drawing_matches_full_grid_formula(seed, width, height):
     assert np.array_equal(gen_drawing(seed, width, height).pixels, _oracle_drawing(seed, width, height))
 
 
-@settings(max_examples=100, deadline=None)
-@given(cell=st.sampled_from([4, 8, 12, 16]), nx=st.integers(1, 8), ny=st.integers(1, 8))
-def test_checkerboard_matches_full_grid_formula(cell, nx, ny):
-    got = gen_checkerboard(cell, cell * nx, cell * ny).pixels
-    assert np.array_equal(got, _oracle_checkerboard(cell, cell * nx, cell * ny))
+def test_checkerboard_matches_full_grid_formula():
+    for cell in (4, 8, 16, 32, 64, 128, 256):  # every cell the 256x256 board takes
+        assert np.array_equal(gen_checkerboard(cell).pixels, _oracle_checkerboard(cell))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -449,7 +448,7 @@ def test_generators_match_full_grid_formulas_on_a_large_image(seed):
 # --- block map ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [0, 1, MAP_CHUNK, MAP_CHUNK + 1, 2 * MAP_CHUNK + 3])
+@pytest.mark.parametrize("n", [1, MAP_CHUNK, MAP_CHUNK + 1, 2 * MAP_CHUNK + 3])
 def test_map_blocks_feeds_consecutive_chunks_in_order(n):
     img = GrayImage((np.arange(4 * n) % 256).astype(np.uint8).reshape(-1, 4))
     calls = []

@@ -35,15 +35,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # The package's module names: a module-level definition is used through one of these.
 MODULES = {path.stem for path in (ROOT / "src/cipher_autopsy").glob("*.py")}
 
-# Defaulted parameters that no program call binds, kept on purpose, with the reason.
-ALLOWED_PARAMETERS = {
-    "imagekit.gen_checkerboard.width": "the generators share one signature; tests draw small boards",
-    "imagekit.gen_checkerboard.height": "the generators share one signature; tests draw small boards",
-    "ecgroup.find_demo_curve.q_start": "the search range that reproduces the frozen DEFAULT_CURVE",
-    "ecgroup.find_demo_curve.q_stop": "the search range that reproduces the frozen DEFAULT_CURVE",
-}
-
-
 def _sources(*dirs):
     for d in dirs:
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -146,11 +137,11 @@ def _binds(call, position, param) -> bool:
 
 def test_every_defaulted_parameter_is_bound_outside_the_tests():
     calls, loaded = _calls()
-    unused = []
-    for qualified, called, position, param in _defaulted_parameters():
-        bound = called in loaded or any(_binds(c, position, param) for c in calls.get(called, ()))
-        if not (bound or qualified in ALLOWED_PARAMETERS):
-            unused.append(qualified)
+    unused = [
+        qualified
+        for qualified, called, position, param in _defaulted_parameters()
+        if called not in loaded and not any(_binds(c, position, param) for c in calls.get(called, ()))
+    ]
     assert unused == []
 
 
@@ -162,8 +153,3 @@ def test_every_default_is_relied_on_by_a_program_call():
         if called not in loaded and all(_binds(c, position, param) for c in calls.get(called, ()))
     ]
     assert overridden == []
-
-
-def test_every_allowed_parameter_is_still_defined():
-    defined = {qualified for qualified, *_ in _defaulted_parameters()}
-    assert sorted(set(ALLOWED_PARAMETERS) - defined) == []
