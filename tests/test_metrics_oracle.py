@@ -122,11 +122,19 @@ def _raised(fn, *args):
 
 SMALL = GrayImage(np.zeros((2, 2), dtype=np.uint8))
 WIDE = GrayImage(np.zeros((2, 4), dtype=np.uint8))
+TALL = GrayImage(np.zeros((4, 2), dtype=np.uint8))
 
 
 @pytest.mark.parametrize(
     "plain,transformed",
-    [(SMALL, WIDE), (WIDE, SMALL)],
+    [
+        (TALL, WIDE),  # same pixel count, transposed shape
+        (WIDE, TALL),
+        (SMALL, TALL),
+        (TALL, SMALL),
+        (SMALL, WIDE),
+        (WIDE, SMALL),
+    ],
 )
 def test_errors_come_in_the_oracle_order(plain, transformed):
     assert _raised(evaluate_pair, plain, transformed) == _raised(
