@@ -7,7 +7,6 @@ fixed-point census and the duplicate-block (codebook leak) detector.
 from __future__ import annotations
 
 import functools
-import string
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -16,10 +15,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import Block, bytes_mod256, row_coset, two_smallest
+from .algebra import Block, bytes_mod256, key_bytes, row_coset, two_smallest
 from .dwc import dwc_decrypt, dwc_decrypt_kernel
 from .ecchc import HillKey, expand_key, hill_apply
-from .imagekit import MAP_CHUNK, GrayImage, block_count, blocks_of
+from .imagekit import MAP_CHUNK, GrayImage, block_count, blocks_of, map_chunks
 from .metrics import DimensionMismatchError
 
 
@@ -78,16 +77,7 @@ class KeyMask:
 
     @classmethod
     def parse(cls, text: str) -> "KeyMask":
-        text = text.strip().lower()
-        if len(text) != 8:
-            raise ValueError("mask must be 8 characters (4 byte slots)")
-        slots = []
-        for i in range(0, 8, 2):
-            chunk = text[i : i + 2]
-            if chunk != "??" and not set(chunk) <= set(string.hexdigits):
-                raise ValueError(f"mask slot {chunk!r} is neither 2 hex digits nor '??'")
-            slots.append(None if chunk == "??" else int(chunk, 16))
-        return cls(values=(slots[0], slots[1], slots[2], slots[3]))
+        return cls(tuple(key_bytes(text, 4, "mask must be 8 characters (4 byte slots)", mask=True)))
 
     @property
     def unknown_positions(self) -> tuple[int, ...]:
@@ -251,19 +241,14 @@ def _xor_index() -> np.ndarray:
 
 def _median_histogram(cipher) -> np.ndarray:
     """The uint32 joint histogram h[m, x] of (median of bytes 1..3, byte 0)
-    over the blocks of the keyless decryption.  A chunk is decrypted half
-    at a time: the decryption's temporaries, about 20 bytes a block, and
-    the 256 KiB histogram then stay under 1 MiB together."""
-    decrypt = dwc_decrypt_kernel(cipher, 0)
+    over the blocks of the keyless decryption.  It is decrypted half a
+    MAP_CHUNK at a time: the decryption's temporaries, about 20 bytes a
+    block, and the 256 KiB histogram then stay under 1 MiB together."""
     h = np.zeros(65536, dtype=np.uint32)
-    start, step = 0, MAP_CHUNK // 2
-    for chunk in cipher.chunks():
-        for s in range(0, chunk.size // 4, step):
-            partial = decrypt(chunk[4 * s : 4 * (s + step)].reshape(-1, 4), start + s)
-            a, b, c = partial[:, 1:4].T
-            med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-            np.add.at(h, (med.astype(np.uint16) << 8) | partial[:, 0], np.uint32(1))
-        start += chunk.size // 4
+    for partial in map_chunks(cipher, dwc_decrypt_kernel(cipher, 0), MAP_CHUNK // 2):
+        a, b, c = partial[:, 1:4].T
+        med = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+        np.add.at(h, (med.astype(np.uint16) << 8) | partial[:, 0], np.uint32(1))
     return h.reshape(256, 256)
 
 

@@ -28,14 +28,13 @@ import dataclasses
 import functools
 import json
 import os
-import string
 import sys
 import time
 from itertools import chain
 
 import numpy as np
 
-from . import attacks, dwc, ecchc, ecgroup, imagekit, metrics
+from . import algebra, attacks, dwc, ecchc, ecgroup, imagekit, metrics
 
 FIXTURES_ENV = "CIPHER_AUTOPSY_FIXTURES"
 
@@ -46,8 +45,6 @@ EXIT_ATTACK = 5
 EXIT_CURVE = 6
 
 MAX_SAMPLES = 1 << 20  # fixed-points draws 2^14 samples at a time; 0.5 MiB traced peak at 2^20
-
-_HEX_DIGITS = frozenset(string.hexdigits)
 
 
 class CliError(Exception):
@@ -73,10 +70,7 @@ def _parse_key(parse, text: str, what: str):
 
 
 def _dwc_byte(text: str) -> int:
-    text = text.strip()
-    if len(text) != 2 or not _HEX_DIGITS.issuperset(text):
-        raise ValueError("want 2 hex digits")
-    return int(text, 16)
+    return algebra.key_bytes(text, 1, "want 2 hex digits")[0]
 
 
 def _emit(obj, args) -> None:
@@ -150,14 +144,21 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _csv_label(text: str) -> str:
+    """A label as one CSV field: quoted, each '"' doubled, if it holds , " CR or LF."""
+    if set(text) & set(',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_table(rows) -> str:
     header = "algorithm,image,entropy,psnr,uaci_percent"
     lines = [header]
     for r in rows:
         lines.append(
             "{algorithm},{image},{entropy:.4f},{psnr},{uaci:.4f}".format(
-                algorithm=r["algorithm"],
-                image=r["image"],
+                algorithm=_csv_label(r["algorithm"]),
+                image=_csv_label(r["image"]),
                 entropy=r["entropy"],
                 psnr="inf" if r["psnr"] == "inf" else f"{r['psnr']:.4f}",
                 uaci=r["uaci_percent"],
@@ -232,12 +233,11 @@ def _read_kpa_samples(path) -> list[attacks.KpaSample]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if len(line) != 16 or not _HEX_DIGITS.issuperset(line):
-                raise CliError(f"{path}:{lineno}: want 16 hex digits per pair", EXIT_FILE)
-            raw = bytes.fromhex(line)
-            samples.append(
-                attacks.KpaSample(plaintext=tuple(raw[:4]), ciphertext=tuple(raw[4:]))
-            )
+            try:
+                raw = algebra.key_bytes(line, 8, "want 16 hex digits per pair")
+            except ValueError as exc:
+                raise CliError(f"{path}:{lineno}: {exc}", EXIT_FILE) from None
+            samples.append(attacks.KpaSample(plaintext=tuple(raw[:4]), ciphertext=tuple(raw[4:])))
     if not samples:
         raise CliError(f"{path}: no sample pairs", EXIT_FILE)
     return samples

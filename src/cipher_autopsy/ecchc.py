@@ -19,12 +19,11 @@ all four facts.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Mat2
+from .algebra import Mat2, key_bytes
 from .imagekit import BadDimensionsError, GrayImage, Kernel, map_blocks
 
 
@@ -42,11 +41,8 @@ class HillKey:
 
     @classmethod
     def from_hex(cls, text: str) -> "HillKey":
-        text = text.strip().lower()
-        if len(text) != 8 or not set(text) <= set(string.hexdigits):
-            raise ValueError("hill key must be 8 hex digits (k11 k12 k21 k22)")
-        vals = [int(text[i : i + 2], 16) for i in range(0, 8, 2)]
-        return expand_key(((vals[0], vals[1]), (vals[2], vals[3])))
+        k11, k12, k21, k22 = key_bytes(text, 4, "hill key must be 8 hex digits (k11 k12 k21 k22)")
+        return expand_key(((k11, k12), (k21, k22)))
 
 
 def expand_key(k: Mat2) -> HillKey:

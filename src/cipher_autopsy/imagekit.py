@@ -4,11 +4,13 @@ and deterministic generators for the demonstration images.
 The canonical block order is defined once, here: the raster is flattened
 row-major and cut into consecutive, non-overlapping groups of 4 pixels.
 Every cipher and attack in this package uses this codec, so a plaintext
-block index means the same thing everywhere.  Both ciphers apply it
-through map_chunks, which feeds a kernel the block sequence in
-cache-sized chunks: of an image in memory (map_blocks reassembles the
-raster) or of a PGM file opened with open_pgm, whose pixels can go from
-file to kernel to write_pgm one chunk at a time.
+block index means the same thing everywhere.  map_chunks, the one walk
+that gives a kernel its blocks' offsets, feeds it the block sequence in
+chunks: of an image in memory (map_blocks reassembles the raster) or of a
+PGM file opened with open_pgm, whose pixels can go from file to kernel to
+write_pgm one chunk at a time.  Each consumer names its chunk size: the
+cipher kernels MAP_CHUNK blocks (128 KiB), metrics 2^15 pixels and the
+brute-dwc ranking half a MAP_CHUNK.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ class BadCellSizeError(ValueError):
     """Checkerboard cell must be a positive multiple of 4 dividing both sides."""
 
 
+MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """8-bit grayscale raster; pixels shape (height, width), read-only.
@@ -76,10 +81,10 @@ class GrayImage:
     def tobytes(self) -> bytes:
         return self.pixels.tobytes()
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        """The pixels in raster order, MAP_CHUNK blocks at a time, as flat views."""
+    def chunks(self, pixels: int = 4 * MAP_CHUNK) -> Iterator[np.ndarray]:
+        """The pixels in raster order, that many at a time, as flat views."""
         flat = self.pixels.reshape(-1)
-        return (flat[s : s + _CHUNK_PIXELS] for s in range(0, flat.size, _CHUNK_PIXELS))
+        return (flat[s : s + pixels] for s in range(0, flat.size, pixels))
 
     def __eq__(self, other):
         if not isinstance(other, GrayImage):
@@ -108,25 +113,23 @@ def block_count(img) -> int:
     return img.size // 4
 
 
-MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
-_CHUNK_PIXELS = 4 * MAP_CHUNK
-
 Kernel = Callable[[np.ndarray, int], np.ndarray]
 
 
-def map_chunks(img, kernel: Kernel) -> Iterator[np.ndarray]:
+def map_chunks(img, kernel: Kernel, blocks: int = MAP_CHUNK) -> Iterator[np.ndarray]:
     """Apply a block cipher kernel over the canonical block sequence of a
     GrayImage or PgmSource whose pixel count is a multiple of 4.
 
     kernel(chunk, start) maps the (m, 4) uint8 blocks start .. start+m-1 to
-    their (m, 4) output; it is called on consecutive chunks of MAP_CHUNK
-    blocks, and the outputs are yielded in order.
+    their (m, 4) output; it is called on consecutive chunks of `blocks`
+    blocks (MAP_CHUNK for the ciphers, half that for the brute-dwc
+    ranking), and the outputs are yielded in order.
     """
     start = 0
-    for pixels in img.chunks():
-        blocks = pixels.reshape(-1, 4)
-        yield kernel(blocks, start)
-        start += len(blocks)
+    for pixels in img.chunks(4 * blocks):
+        chunk = pixels.reshape(-1, 4)
+        yield kernel(chunk, start)
+        start += len(chunk)
 
 
 def map_blocks(img: GrayImage, kernel: Kernel) -> GrayImage:
@@ -214,9 +217,10 @@ def read_pgm(data: bytes) -> GrayImage:
 class PgmSource:
     """A PGM file opened by open_pgm: header, size and truncation checked.
 
-    chunks() yields the pixels in raster order, MAP_CHUNK blocks (128 KiB)
-    at a time, read into one reused buffer: whatever the input, a chunk is
-    valid only until the next one.  A regular P5 file whose header ends in
+    chunks(pixels) yields the pixels in raster order, that many at a time
+    (by default MAP_CHUNK blocks, 128 KiB), read into one buffer per call:
+    a chunk is valid only until the next one.  image() is the one-chunk
+    call, so its array is its own.  A regular P5 file whose header ends in
     the first read is read from the file, so memory does not grow with the
     image; anything else (P2, a pipe or device, a longer header) is read
     whole and served from memory.  Use it as a context manager.
@@ -230,21 +234,18 @@ class PgmSource:
     def size(self) -> int:
         return self.width * self.height
 
-    def _read_into(self, out: np.ndarray) -> np.ndarray:
-        if self._fh.readinto(out) != out.size:
-            raise TruncatedDataError(f"{self._path}: file shrank while it was read")
-        return out
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        buf = np.empty(min(_CHUNK_PIXELS, self.size), dtype=np.uint8)
+    def chunks(self, pixels: int = 4 * MAP_CHUNK) -> Iterator[np.ndarray]:
+        buf = np.empty(min(pixels, self.size), dtype=np.uint8)
         self._fh.seek(self._offset)
         for start in range(0, self.size, buf.size):
-            yield self._read_into(buf[: self.size - start])
+            out = buf[: self.size - start]
+            if self._fh.readinto(out) != out.size:
+                raise TruncatedDataError(f"{self._path}: file shrank while it was read")
+            yield out
 
     def image(self) -> GrayImage:
         """All the pixels in memory."""
-        self._fh.seek(self._offset)
-        pixels = self._read_into(np.empty(self.size, dtype=np.uint8))
+        (pixels,) = self.chunks(self.size)
         return GrayImage(pixels.reshape(self.height, self.width))
 
     def __enter__(self) -> "PgmSource":
@@ -260,7 +261,7 @@ def open_pgm(path) -> PgmSource:
     PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
-        head = fh.read(_CHUNK_PIXELS)
+        head = fh.read(4 * MAP_CHUNK)
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
             try:

@@ -1,8 +1,8 @@
 """Entropy, PSNR/MSE and UACI for 8-bit grayscale images: one
 evaluate_pair row per (plaintext, ciphertext) pair.
 
-Every metric comes from one pass over the pixels, one chunk at a time
-(of images in memory or of PGM files streamed from disk):
+Every metric comes from one pass over the pixels, 2^15 at a time (of
+images in memory or of PGM files streamed from disk, read at that size):
 the transformed image's 256-bin histogram gives the entropy, and the
 exact integer sums of |x - y| and (x - y)^2 give the UACI and MSE
 numerators.  The histogram is counted in four interleaved lanes, pixel i
@@ -50,18 +50,16 @@ assert _CHUNK * 255**2 < 2**32  # so each chunk's uint32 sums of |x - y| and (x 
 _LANES = np.tile(np.arange(0, 1024, 256, dtype=np.uint16), _CHUNK // 4)
 
 
-def _tally(pairs) -> tuple[np.ndarray, int, int]:
-    """The 256-bin histogram of the y pixels and the exact sums of |x - y|
-    and (x - y)^2, folded over equal-length (x, y) chunk pairs."""
+def _tally(plain, transformed) -> tuple[np.ndarray, int, int]:
+    """The 256-bin histogram of the transformed pixels y and the exact sums
+    of |x - y| and (x - y)^2 with the plain pixels x, read _CHUNK at a time."""
     hist, abs_sum, sq_sum = np.zeros(1024, dtype=np.int64), 0, 0
-    for xs, ys in pairs:
-        for s in range(0, ys.size, _CHUNK):
-            x, y = xs[s : s + _CHUNK], ys[s : s + _CHUNK]
-            hist += np.bincount(np.add(y, _LANES[: y.size], dtype=np.uint16), minlength=1024)
-            d = x.astype(np.int16) - y
-            d = np.abs(d, out=d).view(np.uint16)  # at most 255, so d * d fits in uint16
-            abs_sum += int(np.add.reduce(d, dtype=np.uint32))
-            sq_sum += int(np.add.reduce(np.multiply(d, d, out=d), dtype=np.uint32))
+    for x, y in zip(plain.chunks(_CHUNK), transformed.chunks(_CHUNK)):
+        hist += np.bincount(np.add(y, _LANES[: y.size], dtype=np.uint16), minlength=1024)
+        d = x.astype(np.int16) - y
+        d = np.abs(d, out=d).view(np.uint16)  # at most 255, so d * d fits in uint16
+        abs_sum += int(np.add.reduce(d, dtype=np.uint32))
+        sq_sum += int(np.add.reduce(np.multiply(d, d, out=d), dtype=np.uint32))
     return hist.reshape(4, 256).sum(axis=0), abs_sum, sq_sum
 
 
@@ -74,7 +72,7 @@ def evaluate_pair(plain, transformed) -> MetricsReport:
         raise DimensionMismatchError(
             f"{plain.width}x{plain.height} vs {transformed.width}x{transformed.height}"
         )
-    hist, abs_sum, sq_sum = _tally(zip(plain.chunks(), transformed.chunks()))
+    hist, abs_sum, sq_sum = _tally(plain, transformed)
     p = hist[hist > 0] / plain.size
     m = sq_sum / plain.size
     return MetricsReport(

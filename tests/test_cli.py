@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tracemalloc
 
@@ -221,6 +223,33 @@ def test_metrics_csv(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "algorithm,image,entropy,psnr,uaci_percent"
     assert out[1] == "ecchc,checkerboard,1.0000,inf,0.0000"
+
+
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+def test_a_csv_label_with_a_separator_quote_or_line_break_is_quoted(tmp_path, capsys, monkeypatch, char):
+    label = f"a{char}b"
+    a = tmp_path / "a.pgm"
+    save_pgm(gen_checkerboard(), a)
+    assert run_cli("metrics", "--in", str(a), "--enc", str(a), "--format", "csv", "--alg", label, "--image", label) == 0
+    out = capsys.readouterr().out
+    quoted = '"' + label.replace('"', '""') + '"'
+    assert out == f"algorithm,image,entropy,psnr,uaci_percent\n{quoted},{quoted},1.0000,inf,0.0000\n"
+    assert _csv_rows(out)[1] == [label, label, "1.0000", "inf", "0.0000"]
+
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    save_pgm(gen_photo(8, 16, 16), fixtures / f"{label}.pgm")
+    monkeypatch.setenv(cli.FIXTURES_ENV, str(fixtures))
+    code, rows = run_json(capsys, "report", "--seed", "1", "--format", "json")
+    assert code == 0 and sum(row["image"] == label for row in rows) == 2
+    assert run_cli("report", "--seed", "1", "--format", "csv") == 0
+    cells = _csv_rows(capsys.readouterr().out)[1:]
+    assert [c[:2] for c in cells] == [[row["algorithm"], row["image"]] for row in rows]
+    assert {len(c) for c in cells} == {5}
 
 
 def test_report_contains_expected_rows(capsys, monkeypatch):

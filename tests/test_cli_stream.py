@@ -215,6 +215,33 @@ def test_chunks_and_image_are_the_pixels_read_pgm_reads(tmp_path, shape, header)
     assert load_pgm(path) == img
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (402, 1000)])
+@pytest.mark.parametrize("header", [b"P5\n%d %d\n255\n", b"P5\n#\n%d %d # pad\n255\n"], ids=["canonical", "padded"])
+def test_chunks_of_any_size_are_the_pixels_of_the_image_chunks(tmp_path, shape, header):
+    img = _image(shape)
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_p5(img, header))
+    with open_pgm(path) as src:
+        for pixels in [1, 3, 1 << 15, 4 * MAP_CHUNK]:
+            streamed = [c.copy() for c in src.chunks(pixels)]
+            in_memory = list(img.chunks(pixels))
+            assert [len(c) for c in streamed] == [len(c) for c in in_memory], pixels
+            assert np.array_equal(np.concatenate(streamed), np.concatenate(in_memory)), pixels
+
+
+def test_image_after_a_partly_read_chunks_is_a_fresh_array(tmp_path):
+    img = _image((402, 1000))
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_p5(img))
+    with open_pgm(path) as src:
+        first = next(src.chunks())
+        whole = src.image()
+        assert whole == img and not np.shares_memory(whole.pixels, first)
+        for chunk in src.chunks():
+            chunk[:] = 0
+        assert whole == img
+
+
 def test_a_pipe_is_read_whole(tmp_path):
     img = _image((402, 1000))
     path = tmp_path / "fifo"
@@ -309,6 +336,21 @@ def test_dwc_partial_rle_is_the_run_length_code_of_the_mask(tmp_path, capsys):
         assert _run(capsys, "attack", "dwc-partial", "--enc", enc, "--out", out)[0] == 0
         assert out.read_bytes() == _p5(recovered)
         out.unlink()
+
+
+def test_brute_dwc_on_a_streamed_file_is_the_in_memory_ranking(tmp_path, capsys):
+    enc = dwc.dwc_encrypt(gen_photo(0, 1000, 402), 0x5F)
+    path = tmp_path / "enc.pgm"
+    path.write_bytes(_p5(enc, b"P5\n#\n%d %d # pad\n255\n"))
+    code, stdout, err = _run(capsys, "attack", "brute-dwc", "--enc", path)
+    ranking = attacks.brute_force_dwc(enc)
+    expected = {
+        "ranking": [{"key": f"{k:02x}", "score": score} for k, score in ranking],
+        "best_key": "5f",
+        "elapsed_ms": 0,
+    }
+    assert ranking[0][0] == 0x5F
+    assert (code, err, json.loads(stdout) | {"elapsed_ms": 0}) == (0, "", expected)
 
 
 def test_attack_errors_come_input_cipher_mask_dimensions_refusal_blockability(tmp_path, capsys):

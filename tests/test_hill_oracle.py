@@ -224,7 +224,8 @@ def test_brute_force_hill_is_the_same_at_any_chunk_size(tmp_path, monkeypatch, s
             return exc.candidates_tested
 
     expected = [outcome(*case) for case in cases]
-    monkeypatch.setattr(imagekit, "_CHUNK_PIXELS", pixels)
+    for source_class in (GrayImage, imagekit.PgmSource):
+        monkeypatch.setattr(source_class.chunks, "__defaults__", (pixels,))
     for i, (p, c, mask) in enumerate(cases):
         if source == "file":
             save_pgm(p, tmp_path / "p.pgm")

@@ -24,6 +24,7 @@ from cipher_autopsy.imagekit import (
     gen_photo,
     load_pgm,
     map_blocks,
+    map_chunks,
     read_pgm,
     save_pgm,
 )
@@ -460,8 +461,11 @@ def test_map_blocks_feeds_consecutive_chunks_in_order(n):
     out = map_blocks(img, kernel)
     assert out.pixels.shape == img.pixels.shape
     assert np.array_equal(out.pixels, 255 - img.pixels)
-    starts = list(range(0, n, MAP_CHUNK))
-    assert calls == [(s, min(MAP_CHUNK, n - s)) for s in starts]
+    assert calls == [(s, min(MAP_CHUNK, n - s)) for s in range(0, n, MAP_CHUNK)]
+    blocks = MAP_CHUNK // 2  # the brute-dwc ranking's chunk
+    calls.clear()
+    assert np.array_equal(np.concatenate(list(map_chunks(img, kernel, blocks))), 255 - blocks_of(img))
+    assert calls == [(s, min(blocks, n - s)) for s in range(0, n, blocks)]
 
 
 def test_map_blocks_rejects_unblockable_before_calling_the_kernel():
