@@ -46,23 +46,17 @@ GF_MUL.flags.writeable = GF_INV.flags.writeable = False
 _VAL = np.array([8] + [(i & -i).bit_length() - 1 for i in range(1, 256)], dtype=np.uint8)
 
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-def key_bytes(text: str, count: int, error: str, mask: bool = False) -> bytes | list[int | None]:
+def key_bytes(text: str, count: int, error: str) -> bytes:
     """`count` bytes of key text, each exactly 2 ASCII hex digits (int(_, 16)
-    alone takes a sign, inner space or any Unicode digit), or '??' (None) in
-    a mask; case and outer whitespace are ignored.  Else ValueError(error)."""
-    text = text.strip().lower()
-    if len(text) != 2 * count:
+    alone takes a sign, inner space or any Unicode digit); case and outer
+    whitespace are ignored.  Else ValueError(error)."""
+    text = text.strip()
+    if len(text) != 2 * count or not _HEX_DIGITS.issuperset(text):
         raise ValueError(error)
-    if _HEX_DIGITS.issuperset(text):
-        return bytes.fromhex(text)
-    slots = [text[i : i + 2] for i in range(0, len(text), 2)]
-    for slot in slots:
-        if not (_HEX_DIGITS.issuperset(slot) or (mask and slot == "??")):
-            raise ValueError(f"mask slot {slot!r} is neither 2 hex digits nor '??'" if mask else error)
-    return [None if slot == "??" else int(slot, 16) for slot in slots]
+    return bytes.fromhex(text)
 
 
 def bytes_mod256(x) -> np.ndarray:

@@ -77,7 +77,12 @@ class KeyMask:
 
     @classmethod
     def parse(cls, text: str) -> "KeyMask":
-        return cls(tuple(key_bytes(text, 4, "mask must be 8 characters (4 byte slots)", mask=True)))
+        text = text.strip().lower()
+        if len(text) != 8:
+            raise ValueError("mask must be 8 characters (4 byte slots)")
+        slots = [text[i : i + 2] for i in range(0, 8, 2)]
+        error = "mask slot {!r} is neither 2 hex digits nor '??'"
+        return cls(tuple(None if s == "??" else key_bytes(s, 1, error.format(s))[0] for s in slots))
 
     @property
     def unknown_positions(self) -> tuple[int, ...]:

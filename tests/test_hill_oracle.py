@@ -224,9 +224,21 @@ def test_brute_force_hill_is_the_same_at_any_chunk_size(tmp_path, monkeypatch, s
             return exc.candidates_tested
 
     expected = [outcome(*case) for case in cases]
+    reads = []  # the chunk sizes of each chunks() call: the patched size must be the one read
+
+    def spy(chunks):
+        def read(self, *args):
+            reads.append(sizes := [])
+            for chunk in chunks(self, *args):
+                sizes.append(chunk.size)
+                yield chunk
+        return read
+
     for source_class in (GrayImage, imagekit.PgmSource):
         monkeypatch.setattr(source_class.chunks, "__defaults__", (pixels,))
+        monkeypatch.setattr(source_class, "chunks", spy(source_class.chunks))
     for i, (p, c, mask) in enumerate(cases):
+        reads.clear()
         if source == "file":
             save_pgm(p, tmp_path / "p.pgm")
             save_pgm(c, tmp_path / "c.pgm")
@@ -234,3 +246,4 @@ def test_brute_force_hill_is_the_same_at_any_chunk_size(tmp_path, monkeypatch, s
                 assert outcome(p, c, mask) == expected[i], i
         else:
             assert outcome(p, c, mask) == expected[i], i
+        assert len(reads) == 2 and all(max(sizes) == pixels for sizes in reads), (i, reads)
