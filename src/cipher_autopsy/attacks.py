@@ -257,6 +257,25 @@ def _median_histogram(cipher) -> np.ndarray:
     return h.reshape(256, 256)
 
 
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Running sums down the rows of a, wrapping in a's dtype, by the
+    log-step scan of Hillis and Steele (CACM 1986): for s = 1, 2, 4, ...
+    one whole-array np.add adds to each row the row s above it.  The steps
+    alternate between a and one scratch buffer, so the result lies in a's
+    own buffer after an even number of steps and in the scratch buffer
+    after an odd one; a's contents are lost either way, so use only the
+    returned array.  numpy's add.accumulate runs serially, at about 3 ns an
+    entry; the 8 steps over 256 rows take about a third of that time."""
+    src, dst = a, np.empty_like(a)
+    s = 1
+    while s < len(a):
+        dst[:s] = src[:s]
+        np.add(src[s:], src[:-s], out=dst[s:])
+        src, dst = dst, src
+        s <<= 1
+    return src
+
+
 def smoothness_scores(cipher) -> list[int]:
     """Smoothness deviation of each key's candidate plaintext, indexed by
     key, for a GrayImage or PgmSource read one chunk at a time.
@@ -265,17 +284,18 @@ def smoothness_scores(cipher) -> list[int]:
     is the cipher's flaw); candidate k then differs only in byte 0 of each
     block.  Key k's deviation sums, over the blocks, the distance of byte 0
     to the median of bytes 1..3.  One joint histogram h[m, x] of (median,
-    byte 0) scores all keys: prefix sums over m give g[y, x] =
+    byte 0) scores all keys: log-step prefix sums over m give g[y, x] =
     sum_m h[m, x] * |y - m|, and key k's deviation is the sum over x of
-    g[x ^ k, x].  Wrapping uint32 is exact: every entry and sum lies in
-    [0, 255 * N] for N blocks, and the dwc kernel refuses N >= 2^24, so
-    255 * N < 2^32.  No step holds more than three 256 KiB tables.
+    g[x ^ k, x].  Wrapping uint32 is exact: every entry and partial sum
+    lies in [0, 255 * N] for N blocks, and the dwc kernel refuses N >= 2^24,
+    so 255 * N < 2^32.  No step holds more than three 256 KiB tables: the
+    two running-sum tables and one scratch or temporary table.
     """
     h = _median_histogram(cipher)
     y = np.arange(256, dtype=np.uint32)[:, None]
     g = h * y
-    np.cumsum(h, axis=0, out=h)  # blocks with median <= y
-    np.cumsum(g, axis=0, out=g)  # medians <= y, summed
+    h = _prefix_sums(h)  # blocks with median <= y
+    g = _prefix_sums(g)  # medians <= y, summed
     # sum_m h * |y - m| = (all medians) - 2 * (those <= y) + y * (2 * (blocks <= y) - all blocks)
     blocks, medians = h[-1].copy(), g[-1].copy()  # numpy copies a whole out it overlaps
     np.subtract(medians, g << 1, out=g)
@@ -284,18 +304,20 @@ def smoothness_scores(cipher) -> list[int]:
     return dev.tolist()
 
 
-def brute_force_dwc(cipher: GrayImage) -> list[tuple[int, float]]:
-    """Rank all 256 keys by the plausibility of their candidate plaintexts.
+def brute_force_dwc(cipher) -> list[tuple[int, float]]:
+    """Rank all 256 keys by the plausibility of their candidate plaintexts,
+    for a GrayImage or PgmSource read one chunk at a time.
 
     A key's score is its negated smoothness_scores deviation, best first
-    (ties broken by smaller key byte).  The deviation beats a
-    within-tolerance count because a key differing from the truth only in
-    low bits shifts byte 0 by one or two levels: that barely moves a
-    threshold count on a smooth image, but it strictly inflates the summed
-    distance to the local median.
+    (ties broken by smaller key byte, as a stable sort of the ascending
+    keys leaves them).  The deviation beats a within-tolerance count
+    because a key differing from the truth only in low bits shifts byte 0
+    by one or two levels: that barely moves a threshold count on a smooth
+    image, but it strictly inflates the summed distance to the local
+    median.
     """
     dev = smoothness_scores(cipher)
-    return [(k, float(-dev[k])) for k in sorted(range(256), key=lambda k: (dev[k], k))]
+    return [(k, float(-dev[k])) for k in sorted(range(256), key=dev.__getitem__)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +346,23 @@ def fixed_point_census(key: HillKey, sample_count: int, seed: int) -> FixedPoint
     4)) draws for additional ones.  They are read off the raw stream: a
     byte's bounded draw (Lemire's) is next_uint32 >> 24, never rejected,
     and PCG64 hands out each 64-bit output low half first.  Only the
-    samples whose d can be fixed reach hill_apply, which gives the verdict."""
+    samples whose d can be fixed are kept, about 1 in 2^14; they go through
+    hill_apply, which gives the verdict, in one call after the draw."""
     if sample_count < 0:
         raise ValueError("negative dimensions are not allowed")  # as that draw raises
     diag = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 4, axis=1)
     diag_fixed = int(np.count_nonzero(np.all(hill_apply(diag, key.k) == diag, axis=1)))
     bits = np.random.default_rng(seed).bit_generator
-    found: list[Block] = []
+    kept = [np.empty((0, 2), dtype=np.uint64)]
     for s in range(0, sample_count, _CENSUS_CHUNK):
         raw = bits.random_raw(2 * min(_CENSUS_CHUNK, sample_count - s)).reshape(-1, 2)
-        raw = raw[((raw[:, 0] ^ raw[:, 1]) & _FIXABLE_MASK) == 0]
-        top = raw.astype("<u8", copy=False).view(np.uint8)[:, 3::4]  # each 32-bit half's top byte
-        sample = np.ascontiguousarray(top)
-        # each block and its image compared as one 32-bit word
-        fixed_rows = (hill_apply(sample, key.k).view("<u4") == sample.view("<u4"))[:, 0]
-        found.extend(map(tuple, sample[fixed_rows].tolist()))
+        kept.append(raw[np.flatnonzero(((raw[:, 0] ^ raw[:, 1]) & _FIXABLE_MASK) == 0)])
+    raw = np.concatenate(kept)
+    top = raw.astype("<u8", copy=False).view(np.uint8)[:, 3::4]  # each 32-bit half's top byte
+    sample = np.ascontiguousarray(top)
+    # each block and its image compared as one 32-bit word
+    fixed_rows = (hill_apply(sample, key.k).view("<u4") == sample.view("<u4"))[:, 0]
+    found = list(map(tuple, sample[fixed_rows].tolist()))
     return FixedPointCensus(diag_fixed, sample_count, found)
 
 

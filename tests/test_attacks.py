@@ -358,6 +358,34 @@ def test_brute_dwc_matches_per_key_median_oracle():
     assert brute_force_dwc(cipher) == scored
 
 
+TIED_DEVIATIONS = {
+    "all equal": [9] * 256,
+    "one tied block": [1000 - k if not 100 <= k < 120 else 3 for k in range(256)],
+    "descending tied groups": [(255 - k) // 16 for k in range(256)],
+}
+
+
+@pytest.mark.parametrize("dev", TIED_DEVIATIONS.values(), ids=TIED_DEVIATIONS.keys())
+def test_brute_dwc_ranks_tied_keys_in_ascending_order(monkeypatch, dev):
+    monkeypatch.setattr(attacks, "smoothness_scores", lambda cipher: dev)
+    ranking = brute_force_dwc(None)
+    assert [k for k, _ in ranking] == sorted(range(256), key=lambda k: (dev[k], k))
+    assert all(type(score) is float and score == float(-dev[k]) for k, score in ranking)
+
+
+@pytest.mark.parametrize("rows", [1, 100, 256])  # 0, 7 and 8 steps
+def test_prefix_sums_match_a_wrapping_cumsum(rows):
+    rng = np.random.default_rng(rows)
+    a = rng.integers(0, 2**32, (rows, 256), dtype=np.uint32)
+    a[:, ::3] = rng.integers(2**32 - 1000, 2**32, (rows, 86), dtype=np.uint32)  # wraps often
+    expected = np.cumsum(a, axis=0, dtype=np.uint32)
+    got = attacks._prefix_sums(a)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, expected)
+    # an even number of steps ends in the input's buffer, an odd one in the scratch
+    assert (got is a) == (rows != 100)
+
+
 def _oracle_smoothness_scores(cipher):
     # one pass per key over every block, the direct form of the score
     partial = blocks_of(dwc_decrypt(cipher, 0))
@@ -456,7 +484,7 @@ def test_census_reports_sampled_hits():
         assert encrypt_block(key, blk) == blk
 
 
-@pytest.mark.parametrize("n", [0, 1, 4096, 100_000, 2**20])
+@pytest.mark.parametrize("n", [0, 1, 4096, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 7, 100_000, 2**20])
 @pytest.mark.parametrize("seed", [0, 5, 2**31, 2**64 - 1])
 def test_census_samples_the_integers_stream(monkeypatch, n, seed):
     # with the Hill layer replaced by the identity and the prefilter mask by
