@@ -24,6 +24,7 @@ from the CIPHER_AUTOPSY_FIXTURES environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -45,6 +46,7 @@ EXIT_ATTACK = 5
 EXIT_CURVE = 6
 
 MAX_SAMPLES = 1 << 20  # fixed-points draws 2^14 samples at a time; 0.5 MiB traced peak at 2^20
+LINE_CAP = 1 << 20  # characters: a kpa file line this long, its break counted, is an error
 
 
 class CliError(Exception):
@@ -176,14 +178,13 @@ def _report_images(seed: int):
     ]
     fixtures = os.environ.get(FIXTURES_ENV)
     if fixtures and os.path.isdir(fixtures):
-        for name in sorted(os.listdir(fixtures)):
-            if name.lower().endswith(".pgm"):
-                try:
-                    img = imagekit.load_pgm(os.path.join(fixtures, name))
-                except (OSError, imagekit.PgmError):
-                    _stderr_json({"warning": f"skipping fixture {name}"})
+        pgms = [e for e in os.scandir(fixtures) if e.name.lower().endswith(".pgm")]
+        for entry in sorted(pgms, key=lambda e: e.name):
+            with contextlib.suppress(OSError, imagekit.PgmError):
+                if entry.is_file():  # not a FIFO: opening one waits for a writer
+                    named.append((os.path.splitext(entry.name)[0], imagekit.load_pgm(entry.path)))
                     continue
-                named.append((os.path.splitext(name)[0], img))
+            _stderr_json({"warning": f"skipping fixture {entry.name}"})
     return named
 
 
@@ -229,7 +230,9 @@ def _read_kpa_samples(path) -> list[attacks.KpaSample]:
     """
     samples = []
     with open(path, errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(iter(lambda: fh.readline(LINE_CAP), ""), 1):
+            if len(line) == LINE_CAP:
+                raise CliError(f"{path}:{lineno}: line reaches {LINE_CAP} characters", EXIT_FILE)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -2,15 +2,14 @@
 and deterministic generators for the demonstration images.
 
 The canonical block order is defined once, here: the raster is flattened
-row-major and cut into consecutive, non-overlapping groups of 4 pixels.
-Every cipher and attack in this package uses this codec, so a plaintext
-block index means the same thing everywhere.  map_chunks, the one walk
+row-major and cut into consecutive groups of 4 pixels, so a block index
+means the same thing in every cipher and attack.  map_chunks, the one walk
 that gives a kernel its blocks' offsets, feeds it the block sequence in
 chunks: of an image in memory (map_blocks reassembles the raster) or of a
-PGM file opened with open_pgm, whose pixels can go from file to kernel to
-write_pgm one chunk at a time.  Each consumer names its chunk size: the
-cipher kernels MAP_CHUNK blocks (128 KiB), metrics 2^15 pixels and the
-brute-dwc ranking half a MAP_CHUNK.
+PGM file opened with open_pgm (its header within the first 128 KiB), whose
+pixels can go from file to kernel to write_pgm one chunk at a time.  Each
+consumer names its chunk size: the cipher kernels MAP_CHUNK blocks
+(128 KiB), metrics 2^15 pixels and the brute-dwc ranking half a MAP_CHUNK.
 """
 
 from __future__ import annotations
@@ -174,7 +173,7 @@ def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
     """The magic, width, height and pixel offset of a PGM header."""
     magic, _ = _header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
-        raise MalformedHeaderError(f"not a PGM: magic {magic[0]!r}")
+        raise MalformedHeaderError(f"not a PGM: magic {magic[0][:16]!r}")
     tokens, offset = _header_tokens(data, 4)
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
@@ -220,10 +219,10 @@ class PgmSource:
     chunks(pixels) yields the pixels in raster order, that many at a time
     (by default MAP_CHUNK blocks, 128 KiB), read into one buffer per call:
     a chunk is valid only until the next one.  image() is the one-chunk
-    call, so its array is its own.  A regular P5 file whose header ends in
-    the first read is read from the file, so memory does not grow with the
-    image; anything else (P2, a pipe or device, a longer header) is read
-    whole and served from memory.  Use it as a context manager.
+    call, so its array is its own.  A regular P5 file is read from the
+    file, so memory does not grow with the image; P2, or a pipe or device
+    (P5 only as far as its header declares, in pieces as the data comes),
+    is read whole and served from memory.  Use it as a context manager.
     """
 
     def __init__(self, fh, path, width: int, height: int, offset: int):
@@ -256,29 +255,27 @@ class PgmSource:
 
 
 def open_pgm(path) -> PgmSource:
-    """Open a PGM file and run every check read_pgm runs, reading only the
-    first MAP_CHUNK blocks' worth of bytes of a regular P5 file; a
-    PgmError's message starts with the path."""
+    """Open a PGM file and run read_pgm's checks, the header's on the first
+    4 * MAP_CHUNK bytes read alone; a PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
         head = fh.read(4 * MAP_CHUNK)
+        magic, width, height, offset = _read_header(head)
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            try:
-                magic, width, height, offset = _read_header(head)
-            except PgmError:  # maybe a header cut off by the read: parse it whole below
-                magic = None
-            if magic == b"P5" and offset <= len(head):  # the maxval token ended inside head
-                _check_payload(width * height, st.st_size - offset)
-                return PgmSource(fh, path, width, height, offset)
-        img = read_pgm(head + fh.read())
+        # stream a regular P5 file if the whitespace ending its maxval is in head
+        if magic == b"P5" and stat.S_ISREG(st.st_mode) and offset <= len(head):
+            _check_payload(width * height, st.st_size - offset)
+            return PgmSource(fh, path, width, height, offset)
+        end = offset + width * height if magic == b"P5" else float("inf")  # P2 to EOF
+        data = bytearray(head)
+        while len(data) < end and (piece := fh.read1(4 * MAP_CHUNK)):  # not read(n): it allocates n
+            data += piece
         fh.close()
-        return PgmSource(io.BytesIO(img.pixels), path, img.width, img.height, 0)
-    except PgmError as exc:
+        return PgmSource(io.BytesIO(read_pgm(data).pixels), path, width, height, 0)
+    except BaseException as exc:
         fh.close()
-        raise type(exc)(f"{path}: {exc}") from None
-    except BaseException:
-        fh.close()
+        if isinstance(exc, PgmError):
+            raise type(exc)(f"{path}: {exc}") from None
         raise
 
 

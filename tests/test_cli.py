@@ -1,7 +1,13 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +323,34 @@ def test_report_skips_an_unreadable_fixture_with_a_warning(tmp_path, capsys, mon
     ]
 
 
+def run_child(*argv, fixtures=None):
+    """The CLI in a child process with 1 GiB of address space and a 60 s
+    timeout, so an input read without bound fails there, not in the test."""
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop(cli.FIXTURES_ENV, None)
+    if fixtures:
+        env[cli.FIXTURES_ENV] = str(fixtures)
+    return subprocess.run(
+        [sys.executable, "-m", "cipher_autopsy.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit, env=env,
+    )
+
+
+def test_report_skips_a_fifo_fixture_with_a_warning(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    os.mkfifo(fixtures / "pipe.pgm")  # opening it would wait for a writer
+    generated = run_child("report", "--seed", "1", "--format", "csv")
+    start = time.perf_counter()
+    proc = run_child("report", "--seed", "1", "--format", "csv", fixtures=fixtures)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (0, generated.stdout)
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"warning": "skipping fixture pipe.pgm"}
+    ]
+
+
 # --- attacks ---------------------------------------------------------------------------
 
 
@@ -540,6 +574,22 @@ def test_kpa_file_of_only_comments_and_blank_lines_is_exit_3(tmp_path, capsys):
     path.write_text("# no pairs yet\n\n   \n# still none\n")
     assert run_cli("attack", "kpa", "--in", str(path)) == cli.EXIT_FILE
     assert one_error_line(capsys, cli.EXIT_FILE) == f"{path}: no sample pairs"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_kpa_from_the_zero_device_is_exit_3():
+    proc = run_child("attack", "kpa", "--in", "/dev/zero")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == f"/dev/zero:1: line reaches {cli.LINE_CAP} characters"
+
+
+def test_kpa_line_at_the_cap_is_exit_3(tmp_path, capsys):
+    # a comment one character under the cap, its break counted, is read; a 2 MiB line is not
+    path = tmp_path / "pairs.txt"
+    path.write_text("#" * (cli.LINE_CAP - 2) + "\n0011223344556677\n" + "0" * (2 << 20) + "\n")
+    assert run_cli("attack", "kpa", "--in", str(path)) == cli.EXIT_FILE
+    assert one_error_line(capsys, cli.EXIT_FILE) == f"{path}:3: line reaches {cli.LINE_CAP} characters"
 
 
 def test_p2_sample_that_is_not_a_number_is_exit_3(tmp_path, capsys):

@@ -8,9 +8,12 @@ raised before the first write leaves an existing output untouched; and the
 memory a command takes does not grow with the image.
 """
 
+import contextlib
 import json
 import os
+import re
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,9 @@ from cipher_autopsy import attacks, cli, dwc, ecchc, metrics
 from cipher_autopsy.imagekit import (
     MAP_CHUNK,
     GrayImage,
+    MalformedHeaderError,
     TruncatedDataError,
+    UnsupportedMaxvalError,
     gen_photo,
     load_pgm,
     open_pgm,
@@ -49,6 +54,10 @@ def _image(shape, seed=0):
 
 def _p5(img, header=b"P5\n%d %d\n255\n"):
     return header % (img.width, img.height) + img.tobytes()
+
+
+# a comment that runs past the first read: read_pgm reads this header, open_pgm does not
+LONG_HEADER = b"P5\n" + b"#" * (5 * MAP_CHUNK) + b"\n%d %d\n255\n"
 
 
 def _run(capsys, *argv):
@@ -109,6 +118,8 @@ def _bad_inputs(shape, path):
         ("truncated", good[:-5], "ecchc", KEYS["ecchc"], 3, f"{path}: expected {n} pixels, got {n - 5}"),
         ("maxval", good.replace(b"\n255\n", b"\n16\n", 1), "dwc", KEYS["dwc"], 3, f"{path}: maxval 16 unsupported, need 255"),
         ("magic", b"P6" + good[2:], "dwc", KEYS["dwc"], 3, f"{path}: not a PGM: magic b'P6'"),
+        ("header longer than the first read", _p5(_image(shape), LONG_HEADER), "dwc", KEYS["dwc"], 3,
+         f"{path}: unterminated comment"),
         ("hill key", good, "ecchc", "zz", 4, "bad hill key 'zz': hill key must be 8 hex digits (k11 k12 k21 k22)"),
         ("dwc key", good, "dwc", "zz", 4, "bad dwc key 'zz': want 2 hex digits"),
         ("odd sides", _p5(odd), "ecchc", KEYS["ecchc"], 3, f"{w}x{h - 1}: both dimensions must be even"),
@@ -197,10 +208,9 @@ def test_out_may_be_the_input(tmp_path, capsys, alg, data):
     [
         b"P5\n%d %d\n255\n",
         b"P5\n#\n%d %d # pad\n255\n",
-        b"P5\n" + b"#" * (5 * MAP_CHUNK) + b"\n%d %d\n255\n",
         b"P2\n# ascii\n%d %d\n255\n",
     ],
-    ids=["canonical", "padded", "longer-than-the-first-read", "p2"],
+    ids=["canonical", "padded", "p2"],
 )
 def test_chunks_and_image_are_the_pixels_read_pgm_reads(tmp_path, shape, header):
     img = _image(shape)
@@ -253,6 +263,119 @@ def test_a_pipe_is_read_whole(tmp_path):
             assert src.image() == img
     finally:
         writer.join()
+
+
+# 16 extra bytes, or more so that the first read fills: the 3x3 image then
+# lies wholly inside it, and nothing more is read
+@pytest.mark.parametrize("shape", [(3, 3), (402, 1000)])
+def test_a_p5_pipe_is_read_only_as_far_as_its_header_declares(tmp_path, shape):
+    img = _image(shape)
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def write():
+        with open(path, "wb", buffering=0) as fh:
+            data = _p5(img)
+            # the reader may close before the last extra bytes are written
+            with contextlib.suppress(BrokenPipeError):
+                fh.write(data + bytes(max(16, 4 * MAP_CHUNK + 16 - len(data))))
+            done.wait(5)  # the write end stays open
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        start = time.perf_counter()
+        with open_pgm(path) as src:
+            assert src.image() == img
+        assert time.perf_counter() - start < 1
+    finally:
+        done.set()
+        writer.join()
+
+
+def test_a_pipe_that_sends_less_than_its_header_declares_is_a_truncation_error(tmp_path):
+    # 10^20 pixels declared: the read must not allocate them ahead of the data
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=lambda: path.write_bytes(b"P5\n%d %d\n255\n" % (10**10, 10**10) + bytes(9)))
+    writer.start()
+    try:
+        with pytest.raises(TruncatedDataError, match=f"^{path}: expected {10**20} pixels, got 9$"):
+            open_pgm(path)
+    finally:
+        writer.join()
+
+
+def _padded(img, header_length, maxval=b"255"):
+    """img as P5 whose header, padded with a comment, is header_length bytes."""
+    tail = b"\n%d %d\n%s\n" % (img.width, img.height, maxval)
+    return b"P5\n#" + b"x" * (header_length - 4 - len(tail)) + tail + img.tobytes()
+
+
+@pytest.mark.parametrize(
+    "data,error",
+    [
+        (_padded(_image((402, 1000)), 4 * MAP_CHUNK), None),
+        (_padded(_image((402, 1000)), 4 * MAP_CHUNK + 4), (MalformedHeaderError, "truncated header")),
+        (_p5(_image((402, 1000)), LONG_HEADER), (MalformedHeaderError, "unterminated comment")),
+    ],
+    ids=["ends-in-the-first-read", "ends-past-the-first-read", "comment-past-the-first-read"],
+)
+def test_a_header_must_end_in_the_first_read(tmp_path, data, error):
+    img = _image((402, 1000))
+    path = tmp_path / "in.pgm"
+    path.write_bytes(data)
+    assert read_pgm(data) == img
+    if error:
+        with pytest.raises(error[0], match=f"^{re.escape(str(path))}: {error[1]}$"):
+            open_pgm(path)
+        return
+    with open_pgm(path) as src:
+        assert src.image() == img
+        os.truncate(path, 5 * MAP_CHUNK)  # pixels read from the file now run short
+        with pytest.raises(TruncatedDataError, match="file shrank"):
+            src.image()
+
+
+def test_a_maxval_token_cut_by_the_first_read_is_read_whole(tmp_path):
+    # the first read ends after "255" of "2555": the file is read on, not streamed with maxval 255
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_padded(_image((402, 1000)), 4 * MAP_CHUNK + 2, maxval=b"2555"))
+    with pytest.raises(UnsupportedMaxvalError, match=f"^{re.escape(str(path))}: maxval 2555 unsupported"):
+        open_pgm(path)
+
+
+@pytest.mark.parametrize("verb", ["metrics", "encrypt"])
+@pytest.mark.parametrize("source", ["dev-zero", "zero-file"])
+def test_zero_bytes_are_one_short_error_line_in_under_a_second(tmp_path, capsys, verb, source):
+    if source == "dev-zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
+        src = "/dev/zero"
+    else:
+        src = tmp_path / "zero.pgm"
+        src.write_bytes(bytes(4 << 20))
+    argv = ["metrics", "--in", src, "--enc", src] if verb == "metrics" else [
+        "encrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", src, "--out", tmp_path / "out.pgm"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, _error(err)) == (3, "", (3, f"{src}: not a PGM: magic {bytes(16)!r}"))
+    assert len(err.encode()) < 512
+
+
+def test_open_pgm_of_a_zero_file_peaks_under_1_mib(tmp_path):
+    path = tmp_path / "zero.pgm"
+    path.write_bytes(bytes(4 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeaderError):
+            open_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_a_file_that_shrinks_while_it_is_read_is_a_truncation_error(tmp_path):

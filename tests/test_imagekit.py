@@ -204,7 +204,7 @@ def _oracle_read_pgm(data):
     """read_pgm with the oracle header reader and P2 comments cut line by line."""
     magic, _ = _oracle_header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
-        raise MalformedHeaderError(f"not a PGM: magic {magic[0]!r}")
+        raise MalformedHeaderError(f"not a PGM: magic {magic[0][:16]!r}")
     tokens, offset = _oracle_header_tokens(data, 4)
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])

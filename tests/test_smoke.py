@@ -37,7 +37,7 @@ def test_cli_module_error_is_one_json_line(argv, code):
     assert json.loads(line)["code"] == code
 
 
-@pytest.mark.parametrize("script", [["run_attacks.py"], ["metric_table.py", "1"]])
+@pytest.mark.parametrize("script", [["run_attacks.py"], ["metric_table.py", "1"], ["find_demo_curve.py"]])
 def test_demo_script_runs(script):
     proc = run(str(ROOT / "scripts" / script[0]), *script[1:])
     assert proc.returncode == 0, proc.stderr
