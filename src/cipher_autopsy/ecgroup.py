@@ -1,10 +1,10 @@
 """Toy elliptic-curve group over a small prime field, plus the two-party
 key agreement that turns a shared point into a 2x2 byte matrix.
 
-The default curve was found by brute force (see find_demo_curve and
-scripts/find_demo_curve.py): candidate (q, a, b) triples are scanned in
-order and the first curve whose point count is a prime of at least 257 is
-frozen below.  Two extra filters keep the key-agreement demo total: the
+The default curve was found by brute force, by the search that
+scripts/find_demo_curve.py re-runs: candidate (q, a, b) triples are scanned
+in order and the first curve whose point count is a prime of at least 257
+is frozen below.  Two extra filters keep the key-agreement demo total: the
 group order is at least q, and b is a quadratic non-residue, so no affine
 coordinate can ever be congruent to 0 modulo the order (coordinates lie in
 [0, q-1], and a prime-order group has no point with y = 0).  Key sizes
@@ -72,13 +72,6 @@ class CurveParams:
             return False
         return (p.y * p.y - (p.x**3 + self.a * p.x + self.b)) % self.q == 0
 
-    def to_text(self) -> str:
-        lines = [
-            f"{name} {getattr(self, name)}"
-            for name in ("q", "a", "b", "gx", "gy", "order_p")
-        ]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -86,9 +79,9 @@ class KeyPair:
     public_p: EcPoint
 
 
-# Frozen result of find_demo_curve(): first q >= 1009 and smallest
-# (a, b) passing all filters.  |E| = 1009 is prime; G is the affine point
-# with the smallest coordinates.
+# Frozen result of the search in scripts/find_demo_curve.py: first q >= 1009
+# and smallest (a, b) passing all filters.  |E| = 1009 is prime; G is the
+# affine point with the smallest coordinates.
 DEFAULT_CURVE = CurveParams(q=1009, a=1, b=79, gx=1, gy=9, order_p=1009)
 
 
@@ -192,69 +185,3 @@ def agree(seed: int) -> tuple[KeyPair, KeyPair, EcPoint, Mat2]:
         raise DegenerateSharedPointError("two-party agreement mismatch")
     return alice, bob, k_i, derive_hill_key(k_i, curve)
 
-
-# ---------------------------------------------------------------------------
-# Curve search (how DEFAULT_CURVE was produced).
-# ---------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def _legendre(v: int, q: int) -> int:
-    if v % q == 0:
-        return 0
-    return 1 if pow(v, (q - 1) // 2, q) == 1 else -1
-
-
-def count_points(q: int, a: int, b: int) -> int:
-    """Exhaustive point count of y^2 = x^3 + ax + b over F_q (with identity)."""
-    n = 1
-    for x in range(q):
-        rhs = (x * x * x + a * x + b) % q
-        n += 1 + _legendre(rhs, q)
-    return n
-
-
-def find_demo_curve() -> CurveParams:
-    """Brute-force the default curve: scan the primes q from 1009 to 5000, then
-    (a, b) in lexicographic order with a below 9 (a hit always turns up
-    with tiny coefficients), and accept the first curve with
-
-    * nonsingular equation,
-    * b a quadratic non-residue (no point with x = 0),
-    * prime point count of at least max(257, q).
-
-    The generator is the affine point with smallest (x, y).
-    """
-    for q in filter(_is_prime, range(1009, 5000)):
-        for a in range(1, 9):
-            for b in range(1, q):
-                if (4 * a * a * a + 27 * b * b) % q == 0:
-                    continue
-                if _legendre(b, q) == 1:
-                    continue
-                n = count_points(q, a, b)
-                if n >= 257 and n >= q and _is_prime(n):
-                    gx, gy = _smallest_point(q, a, b)
-                    return CurveParams(q=q, a=a, b=b, gx=gx, gy=gy, order_p=n)
-    raise RuntimeError("no demo curve found in range")
-
-
-def _smallest_point(q: int, a: int, b: int) -> tuple[int, int]:
-    for x in range(q):
-        rhs = (x * x * x + a * x + b) % q
-        ys = sorted(y for y in range(q) if (y * y) % q == rhs)
-        if ys:
-            return x, ys[0]
-    raise RuntimeError("curve has no affine points")

@@ -14,6 +14,7 @@ consumer names its chunk size: the cipher kernels MAP_CHUNK blocks
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -169,8 +170,10 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
-def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
-    """The magic, width, height and pixel offset of a PGM header."""
+def _read_header(data: bytes, partial: bool = False) -> tuple[bytes, int, int, int]:
+    """The magic, width, height and pixel offset of a PGM header.  If data
+    is partial, a maxval token that runs to its end may go on past it, so
+    it is not checked."""
     magic, _ = _header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
         raise MalformedHeaderError(f"not a PGM: magic {magic[0][:16]!r}")
@@ -181,7 +184,7 @@ def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
         raise MalformedHeaderError("non-numeric header field") from exc
     if width <= 0 or height <= 0:
         raise MalformedHeaderError("non-positive dimensions")
-    if maxval != 255:
+    if maxval != 255 and not (partial and offset > len(data)):
         raise UnsupportedMaxvalError(f"maxval {maxval} unsupported, need 255")
     return tokens[0], width, height, offset
 
@@ -259,8 +262,13 @@ def open_pgm(path) -> PgmSource:
     4 * MAP_CHUNK bytes read alone; a PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
-        head = fh.read(4 * MAP_CHUNK)
-        magic, width, height, offset = _read_header(head)
+        head = b""  # in read1 pieces, which a held-open pipe returns, until the header ends
+        while len(head) < 4 * MAP_CHUNK and (piece := fh.read1(4 * MAP_CHUNK - len(head))):
+            head += piece
+            with contextlib.suppress(MalformedHeaderError):
+                if _header_tokens(head, 4)[1] <= len(head):
+                    break
+        magic, width, height, offset = _read_header(head, partial=True)
         st = os.fstat(fh.fileno())
         # stream a regular P5 file if the whitespace ending its maxval is in head
         if magic == b"P5" and stat.S_ISREG(st.st_mode) and offset <= len(head):

@@ -294,6 +294,30 @@ def test_a_p5_pipe_is_read_only_as_far_as_its_header_declares(tmp_path, shape):
         writer.join()
 
 
+def test_a_small_image_opens_while_its_writer_holds_the_pipe_open(tmp_path):
+    # far less than the first read's 128 KiB arrives, and no EOF until the writer closes
+    img = _image((3, 3))
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def write():
+        with open(path, "wb", buffering=0) as fh:
+            fh.write(_p5(img))
+            done.wait(2)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        start = time.perf_counter()
+        with open_pgm(path) as src:
+            assert src.image() == img
+        assert time.perf_counter() - start < 0.5
+    finally:
+        done.set()
+        writer.join()
+
+
 def test_a_pipe_that_sends_less_than_its_header_declares_is_a_truncation_error(tmp_path):
     # 10^20 pixels declared: the read must not allocate them ahead of the data
     path = tmp_path / "fifo"
@@ -339,9 +363,16 @@ def test_a_header_must_end_in_the_first_read(tmp_path, data, error):
 
 
 def test_a_maxval_token_cut_by_the_first_read_is_read_whole(tmp_path):
-    # the first read ends after "255" of "2555": the file is read on, not streamed with maxval 255
+    # the first read ends after "2", "25" or "255" of "255", or after "255" of
+    # "2555": the file is read on, and read_pgm's checks decide
+    img = _image((402, 1000))
     path = tmp_path / "in.pgm"
-    path.write_bytes(_padded(_image((402, 1000)), 4 * MAP_CHUNK + 2, maxval=b"2555"))
+    for extra in (1, 2, 3):
+        data = _padded(img, 4 * MAP_CHUNK + extra)
+        path.write_bytes(data)
+        with open_pgm(path) as src:
+            assert src.image() == read_pgm(data) == img
+    path.write_bytes(_padded(img, 4 * MAP_CHUNK + 2, maxval=b"2555"))
     with pytest.raises(UnsupportedMaxvalError, match=f"^{re.escape(str(path))}: maxval 2555 unsupported"):
         open_pgm(path)
 

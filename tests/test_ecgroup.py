@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +15,7 @@ from cipher_autopsy.ecgroup import (
     PointNotOnCurveError,
     _add_unchecked,
     agree,
-    count_points,
     derive_hill_key,
-    find_demo_curve,
     keygen,
     scalar_mul,
     shared_point,
@@ -22,6 +23,12 @@ from cipher_autopsy.ecgroup import (
 )
 
 C = DEFAULT_CURVE
+
+# The curve search lives in the one script that runs it.
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "find_demo_curve.py"
+_spec = importlib.util.spec_from_file_location("find_demo_curve", _SCRIPT)
+find_demo_curve = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(find_demo_curve)
 
 
 def _is_prime(n):
@@ -54,15 +61,20 @@ def test_contains_takes_the_identity_and_refuses_coordinates_outside_the_field()
 
 
 def test_default_curve_matches_fresh_search():
-    assert find_demo_curve() == C
+    assert find_demo_curve.find_demo_curve() == C
 
 
 def test_point_count_matches_frozen_order():
-    assert count_points(C.q, C.a, C.b) == C.order_p
+    assert find_demo_curve.count_points(C.q, C.a, C.b) == C.order_p
 
 
-def test_curve_params_text_round_trip():
-    fields = dict(line.split() for line in C.to_text().splitlines())
+def test_curve_params_text_round_trip(capsys):
+    assert find_demo_curve.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the search time, six `name value` lines, the cross-check and the verdict
+    assert lines[-2:] == [f"point count cross-check: {C.order_p}", "matches the frozen DEFAULT_CURVE"]
+    fields = dict(line.split() for line in lines[1:-2])
+    assert list(fields) == ["q", "a", "b", "gx", "gy", "order_p"]
     assert CurveParams(**{name: int(value) for name, value in fields.items()}) == C
 
 

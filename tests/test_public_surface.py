@@ -1,9 +1,12 @@
 """Every public function, class and method of cipher_autopsy has a caller
-outside the tests, and so does every defaulted parameter.
+in the package or the benchmark, and every defaulted parameter has one
+outside the tests.
 
 A public name that only tests load is a second copy of work the program
-does elsewhere, or dead code.  The check reads the syntax tree of src/,
-scripts/ and bench/.  Comments and docstrings do not count, so mentioning
+does elsewhere, or dead code; one that only a demo under scripts/ loads
+belongs in that script, since the package holds what a command runs.  The
+check reads the syntax tree of src/ and bench/ for names, and of scripts/
+too for parameters.  Comments and docstrings do not count, so mentioning
 a name in prose does not keep it alive.  A module-level function or class
 counts as used only when it is loaded as a bare name, imported by name, or
 read as an attribute of a package module name (`metrics.evaluate_pair`).
@@ -58,7 +61,7 @@ def _used_names():
     """The names a module-level definition can be used by, and the names a
     method can be used by (those plus every attribute read)."""
     module_level, attributes = set(), set()
-    for _, tree in _sources("src", "scripts", "bench"):
+    for _, tree in _sources("src", "bench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 module_level.add(node.id)
