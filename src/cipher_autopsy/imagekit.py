@@ -10,6 +10,8 @@ PGM file opened with open_pgm (its header within the first 128 KiB), whose
 pixels can go from file to kernel to write_pgm one chunk at a time.  Each
 consumer names its chunk size: the cipher kernels MAP_CHUNK blocks
 (128 KiB), metrics 2^15 pixels and the brute-dwc ranking half a MAP_CHUNK.
+Of the generators, gen_photo fills its raster in row bands of 2^14 pixels,
+so its float64 work is one band at any image size.
 """
 
 from __future__ import annotations
@@ -355,6 +357,10 @@ def gen_noise(seed: int, width: int = 256, height: int = 256) -> GrayImage:
 
 
 _INK = (0, 96, 176)  # three ink levels on a white background
+# Pixels per gen_photo band.  Its float64 temporaries stay at 128 KiB, which
+# malloc keeps from call to call; two of 512 KiB leave a heap top that glibc
+# trims after each call and faults back in on the next.
+_PHOTO_BAND = 1 << 14
 
 
 def gen_drawing(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage:
@@ -384,9 +390,13 @@ def gen_drawing(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage
     cy = int(rng.integers(height // 4, 3 * height // 4))
     rx = int(rng.integers(width // 16, width // 9))
     ry = int(rng.integers(height // 16, height // 9))
-    yy, xx = np.ogrid[:height, :width]
-    mask = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
-    canvas[mask] = _INK[int(rng.integers(len(_INK)))]
+    # tested on its bounding box only, which lies inside the canvas
+    # (cx >= width//4 > width//9 > rx, and so for y): no pixel outside it
+    # can pass, and the offsets are the ones the whole-canvas test sees
+    yy, xx = np.ogrid[-ry : ry + 1, -rx : rx + 1]
+    mask = (xx / rx) ** 2 + (yy / ry) ** 2 <= 1.0
+    box = canvas[cy - ry : cy + ry + 1, cx - rx : cx + rx + 1]
+    box[mask] = _INK[int(rng.integers(len(_INK)))]
 
     # a handful of 1-pixel strokes
     for _ in range(6):
@@ -410,21 +420,28 @@ def gen_photo(seed: int = 0, width: int = 256, height: int = 256) -> GrayImage:
     Used wherever a test needs photograph-like redundancy without shipping
     copyrighted test images.
     """
+    raster = np.empty((height, width), dtype=np.uint8)  # a negative size raises here
     rng = np.random.default_rng(seed)
     # a row of x and a column of y, broadcast: the same per-pixel arithmetic
     # as full coordinate grids, without building them
     xx = np.arange(width, dtype=np.float64)
-    yy = np.arange(height, dtype=np.float64)[:, None]
     phase_x = rng.uniform(0, 2 * np.pi)
     phase_y = rng.uniform(0, 2 * np.pi)
     # Amplitudes picked so the value spread around mid-gray lands in the
     # same UACI-against-noise regime as the usual photographic test images
     # (about 28%), while neighboring pixels stay within a few gray levels.
-    # One grid, summed in place in the order 128 + shading + ramps + noise.
+    # Each band is summed in place in the order 128 + shading + ramps +
+    # noise, and the bands' normal draws follow each other in one stream,
+    # so every pixel is the whole-grid formula's.
     shading_x = 85.0 * np.sin(2 * np.pi * xx / width + phase_x)
-    base = shading_x * np.cos(2 * np.pi * yy / height + phase_y)
-    base += 128.0
-    base += 44.0 * (xx / width - 0.5)
-    base += 30.0 * (yy / height - 0.5)
-    base += rng.normal(0.0, 9.0, size=(height, width))
-    return GrayImage(np.clip(base, 0, 255, out=base).astype(np.uint8))
+    ramp_x = 44.0 * (xx / width - 0.5)
+    rows = max(1, _PHOTO_BAND // max(width, 1))  # width 0 gets to GrayImage's refusal
+    for top in range(0, height, rows):
+        yy = np.arange(top, min(top + rows, height), dtype=np.float64)[:, None]
+        band = shading_x * np.cos(2 * np.pi * yy / height + phase_y)
+        band += 128.0
+        band += ramp_x
+        band += 30.0 * (yy / height - 0.5)
+        band += rng.normal(0.0, 9.0, size=band.shape)
+        raster[top : top + rows] = np.clip(band, 0, 255, out=band)
+    return GrayImage(raster)

@@ -1,5 +1,6 @@
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -442,8 +443,30 @@ def test_checkerboard_matches_full_grid_formula():
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_generators_match_full_grid_formulas_on_a_large_image(seed):
-    assert np.array_equal(gen_photo(seed, 1024, 512).pixels, _oracle_photo(seed, 1024, 512))
-    assert np.array_equal(gen_drawing(seed, 1024, 512).pixels, _oracle_drawing(seed, 1024, 512))
+    # gen_photo draws 2^14-pixel row bands: 1000x131 ends on a part band,
+    # a (2^16 + 3)-wide image takes one row per band, and 2048^2 takes 256
+    for width, height in [(1024, 512), (1000, 131), ((1 << 16) + 3, 2), (2048, 2048)]:
+        assert np.array_equal(gen_photo(seed, width, height).pixels, _oracle_photo(seed, width, height))
+    for width, height in [(1024, 512), (2048, 2048)]:
+        assert np.array_equal(gen_drawing(seed, width, height).pixels, _oracle_drawing(seed, width, height))
+
+
+@pytest.mark.parametrize("gen", [gen_photo, gen_drawing])
+def test_generators_at_2048_peak_at_the_image_plus_2_mib(gen):
+    gen(0, 2048, 2048)
+    tracemalloc.start()
+    try:
+        gen(0, 2048, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2048 * 2048 + (2 << 20)
+
+
+@pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (-1, 5)])
+def test_photo_of_an_empty_or_negative_size_raises_value_error(width, height):
+    with pytest.raises(ValueError):
+        gen_photo(0, width, height)
 
 
 # --- block map ---------------------------------------------------------------
