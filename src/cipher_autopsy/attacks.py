@@ -18,8 +18,7 @@ import numpy as np
 from .algebra import Block, bytes_mod256, key_bytes, row_coset, two_smallest
 from .dwc import dwc_decrypt, dwc_decrypt_kernel
 from .ecchc import HillKey, expand_key, hill_apply
-from .imagekit import MAP_CHUNK, GrayImage, block_count, blocks_of, map_chunks
-from .metrics import DimensionMismatchError
+from .imagekit import MAP_CHUNK, BadDimensionsError, GrayImage, block_count, blocks_of, map_chunks
 
 
 class KeyNotFoundError(ValueError):
@@ -188,7 +187,7 @@ def brute_force_hill(
     """
     start = time.perf_counter()
     if (plain.width, plain.height) != (cipher.width, cipher.height):
-        raise DimensionMismatchError("plaintext/ciphertext size mismatch")
+        raise BadDimensionsError("plaintext/ciphertext size mismatch")
     if len(mask.unknown_positions) == 4 and not allow_full_search:
         raise SearchRefusedError("full 2^32 search refused; pass allow_full_search=True")
     block_count(plain)
@@ -390,8 +389,7 @@ def ecb_repeat_detector(cipher: GrayImage) -> BlockHistogram:
     block word at once.  A call takes about 6x the pixels on top of the
     image, so attack ecb-scan peaks near 7x, 28-29 MiB traced at 2048^2.
     """
-    blocks = blocks_of(cipher)
-    words = np.ascontiguousarray(blocks).view("<u4").ravel()
+    words = blocks_of(cipher).view("<u4").ravel()
     values, counts = np.unique(words, return_counts=True)
     top = int(np.argmax(counts))
     block = tuple(int(values[top]).to_bytes(4, "little"))  # the word's bytes in block order

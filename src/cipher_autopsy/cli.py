@@ -9,13 +9,11 @@ matched along the exception's class hierarchy (EXIT_CODES):
     2  usage: argparse errors, option values the library rejects
        (ValueError, e.g. a negative seed), --samples out of range
     3  files: OSError, UnicodeError, PgmError, BadDimensionsError,
-       BadCellSizeError, DimensionMismatchError, missing arguments,
-       malformed kpa sample lines
+       missing arguments, malformed kpa sample lines
     4  key or mask text that does not parse
     5  attacks: KeyNotFoundError, SearchRefusedError, a kpa verdict
        other than unique
-    6  curve degeneracy: DegenerateSharedPointError,
-       DegenerateDerivedPointError
+    6  curve degeneracy: DegenerateSharedPointError
 
 The optional photo fixtures directory (lena.pgm and friends) is taken
 from the CIPHER_AUTOPSY_FIXTURES environment variable.
@@ -384,19 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Library exceptions and their exit codes.  main() takes the code of the
 # first class in the exception's MRO found here, so FileNotFoundError and
-# TruncatedDataError map through OSError and PgmError, and every other
-# ValueError is an option value the library rejected.
+# UnicodeEncodeError map through OSError and UnicodeError, and every other
+# ValueError is an option value the library rejected.  Each exception class
+# the package defines is a key (tests/test_public_surface.py checks it).
 EXIT_CODES = {
     OSError: EXIT_FILE,
     UnicodeError: EXIT_FILE,
     imagekit.PgmError: EXIT_FILE,
     imagekit.BadDimensionsError: EXIT_FILE,
-    imagekit.BadCellSizeError: EXIT_FILE,
-    metrics.DimensionMismatchError: EXIT_FILE,
     attacks.KeyNotFoundError: EXIT_ATTACK,
     attacks.SearchRefusedError: EXIT_ATTACK,
     ecgroup.DegenerateSharedPointError: EXIT_CURVE,
-    ecgroup.DegenerateDerivedPointError: EXIT_CURVE,
     ValueError: EXIT_USAGE,
 }
 

@@ -19,17 +19,11 @@ from dataclasses import dataclass
 from .algebra import Mat2
 
 
-class PointNotOnCurveError(ValueError):
-    pass
-
-
 class DegenerateSharedPointError(ValueError):
-    """Shared-point computation landed on the identity."""
-
-
-class DegenerateDerivedPointError(ValueError):
-    """A coordinate of the shared point is 0 mod the group order, so the
-    corresponding multiple of G is the identity and has no coordinates."""
+    """Key agreement has no key: a public key or the shared point is the
+    identity, the two sides' shared points disagree, or a shared-point
+    coordinate is 0 mod the group order, so its multiple of G is the
+    identity and has no coordinates."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
     if n < 0:
         raise ValueError("scalar must be non-negative")
     if not curve.contains(p):
-        raise PointNotOnCurveError(f"{p} not on curve")
+        raise ValueError(f"{p} not on curve")
     n %= curve.order_p
     result = INFINITY
     base = p
@@ -162,11 +156,11 @@ def derive_hill_key(k_i: EcPoint, curve: CurveParams) -> Mat2:
     derived point and raises.
     """
     if k_i.is_infinity:
-        raise DegenerateDerivedPointError("shared point is the identity")
+        raise DegenerateSharedPointError("shared point is the identity")
     xg = scalar_mul(k_i.x, curve.generator, curve)
     yg = scalar_mul(k_i.y, curve.generator, curve)
     if xg.is_infinity or yg.is_infinity:
-        raise DegenerateDerivedPointError(
+        raise DegenerateSharedPointError(
             "a shared-point coordinate is 0 mod the group order"
         )
     return ((xg.x % 256, xg.y % 256), (yg.x % 256, yg.y % 256))

@@ -28,27 +28,14 @@ import numpy as np
 
 
 class PgmError(ValueError):
-    """Base class for PGM codec failures."""
-
-
-class MalformedHeaderError(PgmError):
-    pass
-
-
-class UnsupportedMaxvalError(PgmError):
-    pass
-
-
-class TruncatedDataError(PgmError):
-    pass
+    """A PGM input the codec refuses: a malformed header or sample, a
+    maxval other than 255, or fewer pixels than the header declares."""
 
 
 class BadDimensionsError(ValueError):
-    """Pixel count not blockable (or dimensions outside a cipher's domain)."""
-
-
-class BadCellSizeError(ValueError):
-    """Checkerboard cell must be a positive multiple of 4 dividing both sides."""
+    """Image sizes the call refuses: a pixel count not blockable, sizes
+    outside a cipher's domain, two images of different sizes, or a
+    checkerboard cell that is not a positive multiple of 4 dividing 256."""
 
 
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
@@ -91,9 +78,7 @@ class GrayImage:
     def __eq__(self, other):
         if not isinstance(other, GrayImage):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
+        return bool(np.array_equal(self.pixels, other.pixels))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -166,7 +151,7 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
         m = _TOKEN.match(data, pos)
         if m[1] is None:  # at the end of data, or at a comment with no '\n'
             comment = data[m.end() : m.end() + 1] == b"#"
-            raise MalformedHeaderError("unterminated comment" if comment else "truncated header")
+            raise PgmError("unterminated comment" if comment else "truncated header")
         tokens.append(m[1])
         pos = m.end() + 1  # consume the single whitespace byte ending the token
     return tokens, pos
@@ -178,22 +163,22 @@ def _read_header(data: bytes, partial: bool = False) -> tuple[bytes, int, int, i
     it is not checked."""
     magic, _ = _header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
-        raise MalformedHeaderError(f"not a PGM: magic {magic[0][:16]!r}")
+        raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
     tokens, offset = _header_tokens(data, 4)
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError as exc:
-        raise MalformedHeaderError("non-numeric header field") from exc
+        raise PgmError("non-numeric header field") from exc
     if width <= 0 or height <= 0:
-        raise MalformedHeaderError("non-positive dimensions")
+        raise PgmError("non-positive dimensions")
     if maxval != 255 and not (partial and offset > len(data)):
-        raise UnsupportedMaxvalError(f"maxval {maxval} unsupported, need 255")
+        raise PgmError(f"maxval {maxval} unsupported, need 255")
     return tokens[0], width, height, offset
 
 
 def _check_payload(n: int, got: int) -> None:
     if got < n:
-        raise TruncatedDataError(f"expected {n} pixels, got {got}")
+        raise PgmError(f"expected {n} pixels, got {got}")
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -208,13 +193,13 @@ def read_pgm(data: bytes) -> GrayImage:
     # ASCII samples; any '#' starts a comment that runs to the line's end.
     fields = re.sub(rb"#[^\r\n]*", b"", data[offset:]).split()
     if len(fields) < n:
-        raise TruncatedDataError(f"expected {n} samples, got {len(fields)}")
+        raise PgmError(f"expected {n} samples, got {len(fields)}")
     try:
         values = [int(f) for f in fields[:n]]
     except ValueError as exc:
-        raise MalformedHeaderError("non-numeric sample") from exc
+        raise PgmError("non-numeric sample") from exc
     if any(v < 0 or v > 255 for v in values):
-        raise MalformedHeaderError("sample out of range for maxval 255")
+        raise PgmError("sample out of range for maxval 255")
     return GrayImage(np.frombuffer(bytes(values), dtype=np.uint8).reshape(height, width))
 
 
@@ -244,7 +229,7 @@ class PgmSource:
         for start in range(0, self.size, buf.size):
             out = buf[: self.size - start]
             if self._fh.readinto(out) != out.size:
-                raise TruncatedDataError(f"{self._path}: file shrank while it was read")
+                raise PgmError(f"{self._path}: file shrank while it was read")
             yield out
 
     def image(self) -> GrayImage:
@@ -267,7 +252,7 @@ def open_pgm(path) -> PgmSource:
         head = b""  # in read1 pieces, which a held-open pipe returns, until the header ends
         while len(head) < 4 * MAP_CHUNK and (piece := fh.read1(4 * MAP_CHUNK - len(head))):
             head += piece
-            with contextlib.suppress(MalformedHeaderError):
+            with contextlib.suppress(PgmError):
                 if _header_tokens(head, 4)[1] <= len(head):
                     break
         magic, width, height, offset = _read_header(head, partial=True)
@@ -285,7 +270,7 @@ def open_pgm(path) -> PgmSource:
     except BaseException as exc:
         fh.close()
         if isinstance(exc, PgmError):
-            raise type(exc)(f"{path}: {exc}") from None
+            raise PgmError(f"{path}: {exc}") from None
         raise
 
 
@@ -338,7 +323,7 @@ def gen_checkerboard(cell: int = 32) -> GrayImage:
     Hill-cipher layer.
     """
     if cell <= 0 or cell % 4 != 0 or 256 % cell != 0:
-        raise BadCellSizeError(f"cell {cell} must be a positive multiple of 4 dividing 256x256")
+        raise BadDimensionsError(f"cell {cell} must be a positive multiple of 4 dividing 256x256")
     parity = (np.arange(256) // cell % 2).astype(np.uint8)
     return GrayImage((parity[:, None] ^ parity) * np.uint8(255))
 

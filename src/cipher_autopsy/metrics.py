@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class DimensionMismatchError(ValueError):
-    pass
+from .imagekit import BadDimensionsError
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def evaluate_pair(plain, transformed) -> MetricsReport:
     of the pair, all from one pass over the two images' chunks.  Neither is
     empty: GrayImage and the PGM header refuse that."""
     if (plain.width, plain.height) != (transformed.width, transformed.height):
-        raise DimensionMismatchError(
+        raise BadDimensionsError(
             f"{plain.width}x{plain.height} vs {transformed.width}x{transformed.height}"
         )
     hist, abs_sum, sq_sum = _tally(plain, transformed)

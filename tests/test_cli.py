@@ -16,7 +16,7 @@ from oracles import block_matrix
 from cipher_autopsy import cli, ecgroup
 from cipher_autopsy.attacks import KeyMask, KeyNotFoundError
 from cipher_autopsy.dwc import dwc_encrypt
-from cipher_autopsy.ecgroup import DegenerateDerivedPointError, EcPoint
+from cipher_autopsy.ecgroup import DegenerateSharedPointError, EcPoint
 from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, expand_key, hill_apply
 from cipher_autopsy.imagekit import (
     GrayImage,
@@ -27,7 +27,7 @@ from cipher_autopsy.imagekit import (
     gen_photo,
     load_pgm,
     save_pgm,
-    TruncatedDataError,
+    PgmError,
 )
 
 
@@ -663,9 +663,9 @@ def test_usage_error_is_one_json_line_and_exit_2(capsys, argv):
     [
         (FileNotFoundError(2, "No such file or directory", "x.pgm"), 3),
         (UnicodeEncodeError("utf-8", "\udcff", 0, 1, "surrogates not allowed"), 3),
-        (TruncatedDataError("expected 16 pixels, got 3"), 3),
+        (PgmError("expected 16 pixels, got 3"), 3),
         (KeyNotFoundError("no key matches the image pair"), 5),
-        (DegenerateDerivedPointError("shared point is the identity"), 6),
+        (DegenerateSharedPointError("shared point is the identity"), 6),
         (ValueError("expected non-negative integer"), 2),
     ],
 )

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from oracles import reference_expectations
 
-from cipher_autopsy.imagekit import GrayImage, gen_constant, gen_noise
-from cipher_autopsy.metrics import DimensionMismatchError, evaluate_pair
+from cipher_autopsy.imagekit import BadDimensionsError, GrayImage, gen_constant, gen_noise
+from cipher_autopsy.metrics import evaluate_pair
 
 
 def test_entropy_constant_image():
@@ -84,8 +84,8 @@ def test_symmetry():
 def test_dimension_mismatch():
     a = gen_noise(44)
     b = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    for pair in ((a, b), (b, a)):
-        with pytest.raises(DimensionMismatchError):
+    for pair, message in (((a, b), "^256x256 vs 8x8$"), ((b, a), "^8x8 vs 256x256$")):
+        with pytest.raises(BadDimensionsError, match=message):
             evaluate_pair(*pair)
 
 

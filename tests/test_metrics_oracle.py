@@ -9,20 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cipher_autopsy.ecchc import ecchc_encrypt, expand_key
-from cipher_autopsy.imagekit import GrayImage, gen_checkerboard, gen_constant, gen_drawing
-from cipher_autopsy.metrics import (
-    _CHUNK,
-    DimensionMismatchError,
-    MetricsReport,
-    evaluate_pair,
+from cipher_autopsy.imagekit import (
+    BadDimensionsError,
+    GrayImage,
+    gen_checkerboard,
+    gen_constant,
+    gen_drawing,
 )
+from cipher_autopsy.metrics import _CHUNK, MetricsReport, evaluate_pair
 
 # --- oracle ---------------------------------------------------------------------
 
 
 def _oracle_check_pair(a, b):
     if a.pixels.shape != b.pixels.shape:
-        raise DimensionMismatchError("shape")
+        raise BadDimensionsError("shape")
 
 
 def _oracle_entropy(img):
@@ -115,7 +116,7 @@ def test_extreme_pair_matches_oracle():
 def _raised(fn, *args):
     try:
         fn(*args)
-    except DimensionMismatchError as exc:
+    except BadDimensionsError as exc:
         return type(exc)
     return None
 

@@ -28,10 +28,18 @@ The mirror case is a default that every program call overrides: only
 tests rely on it, so the value is a second copy of one the program keeps
 elsewhere, such as an argparse default.  A function loaded as a value may
 be called with no arguments, so it relies on every default.
+
+An exception class is worth defining only if its exit code or a caller
+tells it apart.  So every exception class the package defines, save the
+CLI's own CliError, is a key of cli.EXIT_CODES, and no key has the code
+its nearest listed base class would give it anyway.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from cipher_autopsy import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,3 +164,31 @@ def test_every_default_is_relied_on_by_a_program_call():
         if called not in loaded and all(_binds(c, position, param) for c in calls.get(called, ()))
     ]
     assert overridden == []
+
+
+def _exception_classes():
+    """(qualified name, class) of every exception class the package defines."""
+    for stem in sorted(MODULES):
+        module = importlib.import_module("cipher_autopsy" + ("" if stem == "__init__" else f".{stem}"))
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                if obj.__module__ == module.__name__:
+                    yield f"{stem}.{name}", obj
+
+
+def test_every_exception_class_has_an_exit_code():
+    unlisted = [
+        name
+        for name, cls in _exception_classes()
+        if cls is not cli.CliError and cls not in cli.EXIT_CODES
+    ]
+    assert unlisted == []
+
+
+def test_no_exit_code_key_repeats_the_code_of_its_nearest_listed_base():
+    # such a key changes no exit code: main() would find the base's code anyway
+    def inherited(cls):
+        return next((cli.EXIT_CODES[base] for base in cls.__mro__[1:] if base in cli.EXIT_CODES), None)
+
+    redundant = [cls.__qualname__ for cls, code in cli.EXIT_CODES.items() if inherited(cls) == code]
+    assert redundant == []
