@@ -104,9 +104,9 @@ def cmd_keygen(args) -> int:
                 "g": [curve.gx, curve.gy],
                 "order": curve.order_p,
             },
-            "alice": {"private": alice.private_n, "public": [alice.public_p.x, alice.public_p.y]},
-            "bob": {"private": bob.private_n, "public": [bob.public_p.x, bob.public_p.y]},
-            "shared_point": [k_i.x, k_i.y],
+            "alice": {"private": alice.private_n, "public": list(alice.public_p)},
+            "bob": {"private": bob.private_n, "public": list(bob.public_p)},
+            "shared_point": list(k_i),
             "k": [list(row) for row in key.k],
             "km": images.T.tolist(),
             "key_hex": key.key_hex,

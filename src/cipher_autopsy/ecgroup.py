@@ -1,5 +1,6 @@
 """Toy elliptic-curve group over a small prime field, plus the two-party
-key agreement that turns a shared point into a 2x2 byte matrix.
+key agreement that turns a shared point into a 2x2 byte matrix.  A point
+is its affine pair (x, y), or None for the identity.
 
 The default curve was found by brute force, by the search that
 scripts/find_demo_curve.py re-runs: candidate (q, a, b) triples are scanned
@@ -26,22 +27,7 @@ class DegenerateSharedPointError(ValueError):
     identity and has no coordinates."""
 
 
-@dataclass(frozen=True)
-class EcPoint:
-    """Affine point, or the identity when both coordinates are None."""
-
-    x: int | None
-    y: int | None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __repr__(self):
-        return "EcPoint(inf)" if self.is_infinity else f"EcPoint({self.x}, {self.y})"
-
-
-INFINITY = EcPoint(None, None)
+Point = tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -56,21 +42,22 @@ class CurveParams:
     order_p: int
 
     @property
-    def generator(self) -> EcPoint:
-        return EcPoint(self.gx, self.gy)
+    def generator(self) -> Point:
+        return self.gx, self.gy
 
-    def contains(self, p: EcPoint) -> bool:
-        if p.is_infinity:
+    def contains(self, p: Point) -> bool:
+        if p is None:
             return True
-        if not (0 <= p.x < self.q and 0 <= p.y < self.q):
+        x, y = p
+        if not (0 <= x < self.q and 0 <= y < self.q):
             return False
-        return (p.y * p.y - (p.x**3 + self.a * p.x + self.b)) % self.q == 0
+        return (y * y - (x**3 + self.a * x + self.b)) % self.q == 0
 
 
 @dataclass(frozen=True)
 class KeyPair:
     private_n: int
-    public_p: EcPoint
+    public_p: Point
 
 
 # Frozen result of the search in scripts/find_demo_curve.py: first q >= 1009
@@ -79,14 +66,14 @@ class KeyPair:
 DEFAULT_CURVE = CurveParams(q=1009, a=1, b=79, gx=1, gy=9, order_p=1009)
 
 
-def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
+def scalar_mul(n: int, p: Point, curve: CurveParams) -> Point:
     """n-fold group sum via double-and-add; n is reduced mod the order."""
     if n < 0:
         raise ValueError("scalar must be non-negative")
     if not curve.contains(p):
         raise ValueError(f"{p} not on curve")
     n %= curve.order_p
-    result = INFINITY
+    result = None
     base = p
     while n:
         if n & 1:
@@ -96,24 +83,26 @@ def scalar_mul(n: int, p: EcPoint, curve: CurveParams) -> EcPoint:
     return result
 
 
-def _add_unchecked(p1: EcPoint, p2: EcPoint, curve: CurveParams) -> EcPoint:
+def _add_unchecked(p1: Point, p2: Point, curve: CurveParams) -> Point:
     # The chord-tangent group law, doubling and inverses included.  It checks
     # nothing: scalar_mul checks its point once, and every sum of points on
     # the curve is on the curve.
-    if p1.is_infinity:
+    if p1 is None:
         return p2
-    if p2.is_infinity:
+    if p2 is None:
         return p1
+    x1, y1 = p1
+    x2, y2 = p2
     q = curve.q
-    if p1.x == p2.x and (p1.y + p2.y) % q == 0:
-        return INFINITY
+    if x1 == x2 and (y1 + y2) % q == 0:
+        return None
     if p1 == p2:
-        lam = (3 * p1.x * p1.x + curve.a) * pow(2 * p1.y, -1, q) % q
+        lam = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, q) % q
     else:
-        lam = (p2.y - p1.y) * pow(p2.x - p1.x, -1, q) % q
-    x3 = (lam * lam - p1.x - p2.x) % q
-    y3 = (lam * (p1.x - x3) - p1.y) % q
-    return EcPoint(x3, y3)
+        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
+    x3 = (lam * lam - x1 - x2) % q
+    y3 = (lam * (x1 - x3) - y1) % q
+    return x3, y3
 
 
 _MASK64 = (1 << 64) - 1
@@ -137,17 +126,17 @@ def keygen(curve: CurveParams, seed: int) -> KeyPair:
     return KeyPair(private_n=n, public_p=scalar_mul(n, curve.generator, curve))
 
 
-def shared_point(my_private: int, their_public: EcPoint, curve: CurveParams) -> EcPoint:
+def shared_point(my_private: int, their_public: Point, curve: CurveParams) -> Point:
     """Diffie-Hellman combine: my_private * their_public."""
-    if their_public.is_infinity:
+    if their_public is None:
         raise DegenerateSharedPointError("peer public key is the identity")
     k_i = scalar_mul(my_private, their_public, curve)
-    if k_i.is_infinity:
+    if k_i is None:
         raise DegenerateSharedPointError("shared point is the identity")
     return k_i
 
 
-def derive_hill_key(k_i: EcPoint, curve: CurveParams) -> Mat2:
+def derive_hill_key(k_i: Point, curve: CurveParams) -> Mat2:
     """Turn the shared point (x, y) into a 2x2 byte matrix.
 
     Row one is the affine coordinates of x*G reduced mod 256, row two
@@ -155,18 +144,19 @@ def derive_hill_key(k_i: EcPoint, curve: CurveParams) -> Mat2:
     order before multiplying, so a coordinate congruent to 0 has no
     derived point and raises.
     """
-    if k_i.is_infinity:
+    if k_i is None:
         raise DegenerateSharedPointError("shared point is the identity")
-    xg = scalar_mul(k_i.x, curve.generator, curve)
-    yg = scalar_mul(k_i.y, curve.generator, curve)
-    if xg.is_infinity or yg.is_infinity:
+    x, y = k_i
+    xg = scalar_mul(x, curve.generator, curve)
+    yg = scalar_mul(y, curve.generator, curve)
+    if xg is None or yg is None:
         raise DegenerateSharedPointError(
             "a shared-point coordinate is 0 mod the group order"
         )
-    return ((xg.x % 256, xg.y % 256), (yg.x % 256, yg.y % 256))
+    return ((xg[0] % 256, xg[1] % 256), (yg[0] % 256, yg[1] % 256))
 
 
-def agree(seed: int) -> tuple[KeyPair, KeyPair, EcPoint, Mat2]:
+def agree(seed: int) -> tuple[KeyPair, KeyPair, Point, Mat2]:
     """The two-party agreement on DEFAULT_CURVE: Alice's keypair from
     seed, Bob's from seed + 1, the shared point, and the Hill matrix
     derived from it.  Both sides compute the shared point, and a mismatch

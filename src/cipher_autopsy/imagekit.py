@@ -6,10 +6,11 @@ row-major and cut into consecutive groups of 4 pixels, so a block index
 means the same thing in every cipher and attack.  map_chunks, the one walk
 that gives a kernel its blocks' offsets, feeds it the block sequence in
 chunks: of an image in memory (map_blocks reassembles the raster) or of a
-PGM file opened with open_pgm (its header within the first 128 KiB), whose
-pixels can go from file to kernel to write_pgm one chunk at a time.  Each
-consumer names its chunk size: the cipher kernels MAP_CHUNK blocks
-(128 KiB), metrics 2^15 pixels and the brute-dwc ranking half a MAP_CHUNK.
+PGM file opened with open_pgm (its header within the first PGM_READ bytes,
+128 KiB), whose pixels can go from file to kernel to write_pgm one chunk
+at a time.  Each consumer names its chunk size: the cipher kernels
+MAP_CHUNK blocks (128 KiB), metrics 2^15 pixels and the brute-dwc ranking
+half a MAP_CHUNK.
 Of the generators, gen_photo fills its raster in row bands of 2^14 pixels,
 so its float64 work is one band at any image size.
 """
@@ -39,6 +40,7 @@ class BadDimensionsError(ValueError):
 
 
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
+PGM_READ = 1 << 17  # bytes per open_pgm read; a header must end in the first
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,11 +248,11 @@ class PgmSource:
 
 def open_pgm(path) -> PgmSource:
     """Open a PGM file and run read_pgm's checks, the header's on the first
-    4 * MAP_CHUNK bytes read alone; a PgmError's message starts with the path."""
+    PGM_READ bytes read alone; a PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
         head = b""  # in read1 pieces, which a held-open pipe returns, until the header ends
-        while len(head) < 4 * MAP_CHUNK and (piece := fh.read1(4 * MAP_CHUNK - len(head))):
+        while len(head) < PGM_READ and (piece := fh.read1(PGM_READ - len(head))):
             head += piece
             with contextlib.suppress(PgmError):
                 if _header_tokens(head, 4)[1] <= len(head):
@@ -263,7 +265,7 @@ def open_pgm(path) -> PgmSource:
             return PgmSource(fh, path, width, height, offset)
         end = offset + width * height if magic == b"P5" else float("inf")  # P2 to EOF
         data = bytearray(head)
-        while len(data) < end and (piece := fh.read1(4 * MAP_CHUNK)):  # not read(n): it allocates n
+        while len(data) < end and (piece := fh.read1(PGM_READ)):  # not read(n): it allocates n
             data += piece
         fh.close()
         return PgmSource(io.BytesIO(read_pgm(data).pixels), path, width, height, 0)

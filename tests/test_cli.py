@@ -16,7 +16,7 @@ from oracles import block_matrix
 from cipher_autopsy import cli, ecgroup
 from cipher_autopsy.attacks import KeyMask, KeyNotFoundError
 from cipher_autopsy.dwc import dwc_encrypt
-from cipher_autopsy.ecgroup import DegenerateSharedPointError, EcPoint
+from cipher_autopsy.ecgroup import DegenerateSharedPointError
 from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, expand_key, hill_apply
 from cipher_autopsy.imagekit import (
     GrayImage,
@@ -196,7 +196,7 @@ def test_keygen_stdout_is_pinned(capsys, seed):
 
 def test_keygen_agreement_mismatch_is_exit_6(capsys, monkeypatch):
     # the two sides' shared points differ: a fault, reported as curve degeneracy
-    points = iter([EcPoint(1, 9), EcPoint(201, 754)])
+    points = iter([(1, 9), (201, 754)])
     monkeypatch.setattr(ecgroup, "shared_point", lambda *args: next(points))
     assert run_cli("keygen") == cli.EXIT_CURVE
     captured = capsys.readouterr()

@@ -23,6 +23,7 @@ from oracles import rle
 from cipher_autopsy import attacks, cli, dwc, ecchc, metrics
 from cipher_autopsy.imagekit import (
     MAP_CHUNK,
+    PGM_READ,
     GrayImage,
     PgmError,
     gen_photo,
@@ -55,7 +56,7 @@ def _p5(img, header=b"P5\n%d %d\n255\n"):
 
 
 # a comment that runs past the first read: read_pgm reads this header, open_pgm does not
-LONG_HEADER = b"P5\n" + b"#" * (5 * MAP_CHUNK) + b"\n%d %d\n255\n"
+LONG_HEADER = b"P5\n" + b"#" * (2 * PGM_READ) + b"\n%d %d\n255\n"
 
 
 def _run(capsys, *argv):
@@ -277,7 +278,7 @@ def test_a_p5_pipe_is_read_only_as_far_as_its_header_declares(tmp_path, shape):
             data = _p5(img)
             # the reader may close before the last extra bytes are written
             with contextlib.suppress(BrokenPipeError):
-                fh.write(data + bytes(max(16, 4 * MAP_CHUNK + 16 - len(data))))
+                fh.write(data + bytes(max(16, PGM_READ + 16 - len(data))))
             done.wait(5)  # the write end stays open
 
     writer = threading.Thread(target=write)
@@ -338,8 +339,8 @@ def _padded(img, header_length, maxval=b"255"):
 @pytest.mark.parametrize(
     "data,error",
     [
-        (_padded(_image((402, 1000)), 4 * MAP_CHUNK), None),
-        (_padded(_image((402, 1000)), 4 * MAP_CHUNK + 4), (PgmError, "truncated header")),
+        (_padded(_image((402, 1000)), PGM_READ), None),
+        (_padded(_image((402, 1000)), PGM_READ + 4), (PgmError, "truncated header")),
         (_p5(_image((402, 1000)), LONG_HEADER), (PgmError, "unterminated comment")),
     ],
     ids=["ends-in-the-first-read", "ends-past-the-first-read", "comment-past-the-first-read"],
@@ -355,7 +356,7 @@ def test_a_header_must_end_in_the_first_read(tmp_path, data, error):
         return
     with open_pgm(path) as src:
         assert src.image() == img
-        os.truncate(path, 5 * MAP_CHUNK)  # pixels read from the file now run short
+        os.truncate(path, 2 * PGM_READ)  # pixels read from the file now run short
         with pytest.raises(PgmError, match=f"^{re.escape(str(path))}: file shrank while it was read$"):
             src.image()
 
@@ -366,11 +367,11 @@ def test_a_maxval_token_cut_by_the_first_read_is_read_whole(tmp_path):
     img = _image((402, 1000))
     path = tmp_path / "in.pgm"
     for extra in (1, 2, 3):
-        data = _padded(img, 4 * MAP_CHUNK + extra)
+        data = _padded(img, PGM_READ + extra)
         path.write_bytes(data)
         with open_pgm(path) as src:
             assert src.image() == read_pgm(data) == img
-    path.write_bytes(_padded(img, 4 * MAP_CHUNK + 2, maxval=b"2555"))
+    path.write_bytes(_padded(img, PGM_READ + 2, maxval=b"2555"))
     with pytest.raises(PgmError, match=f"^{re.escape(str(path))}: maxval 2555 unsupported, need 255$"):
         open_pgm(path)
 

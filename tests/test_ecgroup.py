@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import re
 from pathlib import Path
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 
 from cipher_autopsy.ecgroup import (
     DEFAULT_CURVE,
-    INFINITY,
     CurveParams,
     DegenerateSharedPointError,
-    EcPoint,
+    KeyPair,
     _add_unchecked,
     agree,
     derive_hill_key,
@@ -50,13 +50,13 @@ def test_default_curve_is_valid():
     assert C.order_p >= 257
     assert (4 * C.a**3 + 27 * C.b**2) % C.q != 0
     assert C.contains(C.generator)
-    assert scalar_mul(C.order_p, C.generator, C).is_infinity
+    assert scalar_mul(C.order_p, C.generator, C) is None
 
 
 def test_contains_takes_the_identity_and_refuses_coordinates_outside_the_field():
-    assert C.contains(INFINITY)
-    assert not C.contains(EcPoint(C.q, 0))
-    assert not C.contains(EcPoint(-1, 0))
+    assert C.contains(None)
+    assert not C.contains((C.q, 0))
+    assert not C.contains((-1, 0))
 
 
 def test_default_curve_matches_fresh_search():
@@ -111,9 +111,14 @@ def _oracle_add(p1, p2):
     return (x3, (lam * (x1 - x3) - y1) % C.q)
 
 
-def _as_pair(p):
-    """An EcPoint in the oracle's form: (x, y), or None for the identity."""
-    return None if p.is_infinity else (p.x, p.y)
+@functools.cache
+def _oracle_table():
+    """The cyclic table i -> i*G, built once by repeated oracle addition."""
+    g = (C.gx, C.gy)
+    table = [None, g]
+    for _ in range(2, C.order_p):
+        table.append(_oracle_add(table[-1], g))
+    return table
 
 
 def _enumerate_affine_points():
@@ -130,40 +135,29 @@ def test_exhaustive_addition_table_matches_enumerated_group():
     all_points = _enumerate_affine_points()
     assert len(all_points) + 1 == C.order_p
 
-    # build the cyclic table i -> i*G by repeated oracle addition; every
-    # multiple must land inside the enumerated point set (closure)
-    g = (C.gx, C.gy)
-    table = [None, g]
-    acc = g
-    for _ in range(2, C.order_p):
-        acc = _oracle_add(acc, g)
-        assert acc in all_points
-        table.append(acc)
+    # every multiple in the cyclic table lands inside the enumerated point
+    # set (closure)
+    table = _oracle_table()
+    assert set(table[1:]) <= all_points
     index = {p: i for i, p in enumerate(table) if p is not None}
     assert len(index) == C.order_p - 1  # the group really is cyclic of order p
 
     # the implementation must agree with the brute-force group on every pair
     n = C.order_p
     for i in range(1, n):
-        pi = EcPoint(*table[i])
         for j in range(i, n):
-            expected = table[(i + j) % n]
-            got = _add_unchecked(pi, EcPoint(*table[j]), C)
-            if expected is None:
-                assert got.is_infinity
-            else:
-                assert (got.x, got.y) == expected
+            assert _add_unchecked(table[i], table[j], C) == table[(i + j) % n]
 
 
 def test_point_add_identity_and_inverse():
     p = scalar_mul(17, C.generator, C)
-    assert _add_unchecked(p, INFINITY, C) == p
-    assert _add_unchecked(INFINITY, p, C) == p
-    assert _add_unchecked(p, EcPoint(p.x, -p.y % C.q), C).is_infinity
+    assert _add_unchecked(p, None, C) == p
+    assert _add_unchecked(None, p, C) == p
+    assert _add_unchecked(p, (p[0], -p[1] % C.q), C) is None
 
 
 def test_scalar_mul_rejects_off_curve():
-    for point in (EcPoint(1, 2), EcPoint(5, 5)):
+    for point in ((1, 2), (5, 5)):
         with pytest.raises(ValueError, match=f"^{re.escape(str(point))} not on curve$"):
             scalar_mul(3, point, C)
 
@@ -173,9 +167,9 @@ def test_scalar_mul_rejects_off_curve():
 
 def test_scalar_mul_edge_cases():
     G = C.generator
-    assert scalar_mul(0, G, C).is_infinity
+    assert scalar_mul(0, G, C) is None
     assert scalar_mul(1, G, C) == G
-    assert scalar_mul(C.order_p, G, C).is_infinity
+    assert scalar_mul(C.order_p, G, C) is None
     with pytest.raises(ValueError):
         scalar_mul(-1, G, C)
 
@@ -184,8 +178,8 @@ def test_scalar_mul_matches_repeated_addition():
     G = C.generator
     acc = None
     for n in range(60):
-        assert _as_pair(scalar_mul(n, G, C)) == acc
-        acc = _oracle_add(acc, _as_pair(G))
+        assert scalar_mul(n, G, C) == acc
+        acc = _oracle_add(acc, G)
 
 
 @settings(max_examples=60)
@@ -193,8 +187,8 @@ def test_scalar_mul_matches_repeated_addition():
 def test_scalar_mul_additive(m, n):
     G = C.generator
     lhs = scalar_mul(m + n, G, C)
-    rhs = _oracle_add(_as_pair(scalar_mul(m, G, C)), _as_pair(scalar_mul(n, G, C)))
-    assert _as_pair(lhs) == rhs
+    rhs = _oracle_add(scalar_mul(m, G, C), scalar_mul(n, G, C))
+    assert lhs == rhs
 
 
 # --- seeded key generation -----------------------------------------------------
@@ -233,22 +227,22 @@ def test_shared_point_commutes():
 
 def test_shared_point_rejects_identity_peer():
     with pytest.raises(DegenerateSharedPointError):
-        shared_point(5, INFINITY, C)
+        shared_point(5, None, C)
 
 
 def test_shared_point_matches_repeated_addition():
     b = keygen(C, 7)
     acc = None
     for n in range(1, 20):
-        acc = _oracle_add(acc, _as_pair(b.public_p))
-        assert _as_pair(shared_point(n, b.public_p, C)) == acc
+        acc = _oracle_add(acc, b.public_p)
+        assert shared_point(n, b.public_p, C) == acc
 
 
 def test_derive_hill_key_frozen_fixture():
     # computed once with the verified scalar_mul: K_I = 5*G = (980, 208),
     # x*G = (822, 308), y*G = (995, 529)
     k_i = scalar_mul(5, C.generator, C)
-    assert (k_i.x, k_i.y) == (980, 208)
+    assert k_i == (980, 208)
     assert derive_hill_key(k_i, C) == ((822 % 256, 308 % 256), (995 % 256, 529 % 256))
     assert derive_hill_key(k_i, C) == ((54, 52), (227, 17))
 
@@ -257,9 +251,9 @@ def test_derive_hill_key_degenerate_coordinate():
     # a coordinate congruent to 0 mod the order has no derived point
     message = "^a shared-point coordinate is 0 mod the group order$"
     with pytest.raises(DegenerateSharedPointError, match=message):
-        derive_hill_key(EcPoint(0, 5), C)
+        derive_hill_key((0, 5), C)
     with pytest.raises(DegenerateSharedPointError, match="^shared point is the identity$"):
-        derive_hill_key(INFINITY, C)
+        derive_hill_key(None, C)
 
 
 def test_both_parties_derive_identical_matrix():
@@ -278,6 +272,21 @@ def test_agree_is_the_four_call_chain_for_every_report_seed():
         bob = keygen(C, seed + 1)
         k_i = shared_point(alice.private_n, bob.public_p, C)
         assert agree(seed) == (alice, bob, k_i, derive_hill_key(k_i, C))
+
+
+def test_agree_matches_the_oracle_table_for_every_report_seed_and_wide_seeds():
+    # oracle: keypairs, shared point and matrix read off the cyclic table
+    # i -> i*G, with the private scalars drawn as keygen documents
+    table = _oracle_table()
+    n = C.order_p
+    for seed in [*range(-64, 1024), 2**64, 2**64 + 12345, 2**100 + 7]:
+        a = 1 + splitmix64(seed) % (n - 1)
+        b = 1 + splitmix64(seed + 1) % (n - 1)
+        x, y = table[a * b % n]
+        xg, yg = table[x % n], table[y % n]
+        k = ((xg[0] % 256, xg[1] % 256), (yg[0] % 256, yg[1] % 256))
+        expected = (KeyPair(a, table[a]), KeyPair(b, table[b]), (x, y), k)
+        assert agree(seed) == expected
 
 
 def test_no_degenerate_derivations_possible_on_default_curve():

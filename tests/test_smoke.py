@@ -37,8 +37,8 @@ def test_cli_module_error_is_one_json_line(argv, code):
     assert json.loads(line)["code"] == code
 
 
-@pytest.mark.parametrize("script", [["run_attacks.py"], ["metric_table.py", "1"], ["find_demo_curve.py"]])
+@pytest.mark.parametrize("script", [["run_attacks.py"], ["find_demo_curve.py"]])
 def test_demo_script_runs(script):
-    proc = run(str(ROOT / "scripts" / script[0]), *script[1:])
+    proc = run(str(ROOT / "scripts" / script[0]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
