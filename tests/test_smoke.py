@@ -37,8 +37,15 @@ def test_cli_module_error_is_one_json_line(argv, code):
     assert json.loads(line)["code"] == code
 
 
-@pytest.mark.parametrize("script", [["run_attacks.py"], ["find_demo_curve.py"]])
+@pytest.mark.parametrize(
+    "script",
+    [
+        [str(ROOT / "scripts" / "run_attacks.py")],
+        ["-m", "cipher_autopsy.cli", "report", "--seed", "1"],
+        [str(ROOT / "scripts" / "find_demo_curve.py")],
+    ],
+)
 def test_demo_script_runs(script):
-    proc = run(str(ROOT / "scripts" / script[0]))
+    proc = run(*script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
