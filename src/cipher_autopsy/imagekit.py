@@ -6,11 +6,11 @@ row-major and cut into consecutive groups of 4 pixels, so a block index
 means the same thing in every cipher and attack.  map_chunks, the one walk
 that gives a kernel its blocks' offsets, feeds it the block sequence in
 chunks: of an image in memory (map_blocks reassembles the raster) or of a
-PGM file opened with open_pgm (its header within the first PGM_READ bytes,
-128 KiB), whose pixels can go from file to kernel to write_pgm one chunk
-at a time.  Each consumer names its chunk size: the cipher kernels
-MAP_CHUNK blocks (128 KiB), metrics 2^15 pixels and the brute-dwc ranking
-half a MAP_CHUNK.
+PGM file opened with open_pgm (its header in the first PGM_READ bytes,
+128 KiB, bar a maxval's tail), whose pixels can go from file to kernel to
+write_pgm one chunk at a time.  Each consumer names its chunk size: the
+cipher kernels MAP_CHUNK blocks (128 KiB), metrics 2^15 pixels and the
+brute-dwc ranking half a MAP_CHUNK.
 Of the generators, gen_photo fills its raster in row bands of 2^14 pixels,
 so its float64 work is one band at any image size.
 """
@@ -159,10 +159,8 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
-def _read_header(data: bytes, partial: bool = False) -> tuple[bytes, int, int, int]:
-    """The magic, width, height and pixel offset of a PGM header.  If data
-    is partial, a maxval token that runs to its end may go on past it, so
-    it is not checked."""
+def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
+    """The magic, width, height and pixel offset of a PGM header, each checked."""
     magic, _ = _header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
@@ -173,14 +171,14 @@ def _read_header(data: bytes, partial: bool = False) -> tuple[bytes, int, int, i
         raise PgmError("non-numeric header field") from exc
     if width <= 0 or height <= 0:
         raise PgmError("non-positive dimensions")
-    if maxval != 255 and not (partial and offset > len(data)):
+    if maxval != 255:
         raise PgmError(f"maxval {maxval} unsupported, need 255")
     return tokens[0], width, height, offset
 
 
 def _check_payload(n: int, got: int) -> None:
     if got < n:
-        raise PgmError(f"expected {n} pixels, got {got}")
+        raise PgmError(f"expected {n} pixels, got {max(0, got)}")
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -188,7 +186,7 @@ def read_pgm(data: bytes) -> GrayImage:
     magic, width, height, offset = _read_header(data)
     n = width * height
     if magic == b"P5":
-        _check_payload(n, max(0, len(data) - offset))
+        _check_payload(n, len(data) - offset)
         # P5 pixels are a read-only view of the payload in `data`, not a copy.
         pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
         return GrayImage(pixels.reshape(height, width))
@@ -211,10 +209,10 @@ class PgmSource:
     chunks(pixels) yields the pixels in raster order, that many at a time
     (by default MAP_CHUNK blocks, 128 KiB), read into one buffer per call:
     a chunk is valid only until the next one.  image() is the one-chunk
-    call, so its array is its own.  A regular P5 file is read from the
+    call, so its array is its own.  Every regular P5 file is read from the
     file, so memory does not grow with the image; P2, or a pipe or device
-    (P5 only as far as its header declares, in pieces as the data comes),
-    is read whole and served from memory.  Use it as a context manager.
+    (P5 only to the exact end its header declares, in pieces as the data
+    comes), is read whole and served from memory.  Use it as a context manager.
     """
 
     def __init__(self, fh, path, width: int, height: int, offset: int):
@@ -247,20 +245,21 @@ class PgmSource:
 
 
 def open_pgm(path) -> PgmSource:
-    """Open a PGM file and run read_pgm's checks, the header's on the first
-    PGM_READ bytes read alone; a PgmError's message starts with the path."""
+    """Open a PGM file and run read_pgm's checks on a header read whole: in
+    the first PGM_READ bytes, bar the rest of a maxval token that starts
+    there.  A PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
-        head = b""  # in read1 pieces, which a held-open pipe returns, until the header ends
-        while len(head) < PGM_READ and (piece := fh.read1(PGM_READ - len(head))):
+        head, cap = b"", PGM_READ  # in read1 pieces, which a held-open pipe returns, until the header ends
+        while len(head) < cap and (piece := fh.read1(cap - len(head))):
             head += piece
             with contextlib.suppress(PgmError):
                 if _header_tokens(head, 4)[1] <= len(head):
                     break
-        magic, width, height, offset = _read_header(head, partial=True)
+                cap = 2 * PGM_READ  # the maxval token runs on: to its end, or past int()'s digit limit
+        magic, width, height, offset = _read_header(head)
         st = os.fstat(fh.fileno())
-        # stream a regular P5 file if the whitespace ending its maxval is in head
-        if magic == b"P5" and stat.S_ISREG(st.st_mode) and offset <= len(head):
+        if magic == b"P5" and stat.S_ISREG(st.st_mode):
             _check_payload(width * height, st.st_size - offset)
             return PgmSource(fh, path, width, height, offset)
         end = offset + width * height if magic == b"P5" else float("inf")  # P2 to EOF

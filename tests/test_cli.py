@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -19,6 +23,7 @@ from cipher_autopsy.dwc import dwc_encrypt
 from cipher_autopsy.ecgroup import DegenerateSharedPointError
 from cipher_autopsy.ecchc import HillKey, ecchc_encrypt, expand_key, hill_apply
 from cipher_autopsy.imagekit import (
+    PGM_READ,
     GrayImage,
     blocks_of,
     gen_checkerboard,
@@ -431,10 +436,15 @@ def test_bad_dimensions_exit_3(tmp_path, capsys, argv):
 def test_attack_brute_dwc(tmp_path, capsys):
     enc = tmp_path / "c.pgm"
     save_pgm(dwc_encrypt(gen_photo(9), 0x7E), enc)
-    code, doc = run_json(capsys, "attack", "brute-dwc", "--enc", str(enc))
+    code = run_cli("attack", "brute-dwc", "--enc", str(enc))
+    out = re.sub(r'"elapsed_ms": [0-9.]+\n', '"elapsed_ms": 0\n', capsys.readouterr().out)
+    doc = json.loads(out)
     assert code == 0
     assert doc["best_key"] == "7e"
     assert len(doc["ranking"]) == 256
+    # the whole stdout, recorded once with elapsed_ms masked: each score is a float
+    assert out.startswith('{\n  "ranking": [\n    {\n      "key": "7e",\n      "score": -144607.0\n    },\n')
+    assert hashlib.sha256(out.encode()).hexdigest() == "9b19cb0c6589ffb40857a9f00e9f94704bc4b9f8ff1c15b12372f3a7ee91a627"
 
 
 def test_attack_dwc_partial(tmp_path, capsys):
@@ -453,10 +463,17 @@ def test_attack_dwc_partial(tmp_path, capsys):
 def test_attack_ecb_scan(tmp_path, capsys):
     enc = tmp_path / "c.pgm"
     save_pgm(ecchc_encrypt(gen_checkerboard(), expand_key(((3, 1), (4, 1)))), enc)
-    code, doc = run_json(capsys, "attack", "ecb-scan", "--enc", str(enc))
+    code = run_cli("attack", "ecb-scan", "--enc", str(enc))
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert code == 0
     assert doc["distinct_blocks"] == 2
     assert doc["largest_class_size"] == 8192
+    # the whole stdout, key order included
+    assert out == (
+        '{\n  "total_blocks": 16384,\n  "distinct_blocks": 2,\n  "largest_class_size": 8192,\n'
+        '  "largest_class_block": [\n    0,\n    0,\n    0,\n    0\n  ]\n}\n'
+    )
 
 
 def test_attack_fixed_points(capsys):
@@ -582,6 +599,32 @@ def test_kpa_from_the_zero_device_is_exit_3():
     assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["message"] == f"/dev/zero:1: line reaches {cli.LINE_CAP} characters"
+
+
+def test_a_pgm_pipe_whose_maxval_never_ends_is_exit_3(tmp_path):
+    # 10^12 pixels declared, then a comment, then maxval digits from the last
+    # 3 bytes of the first read on, until the reader closes
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    head = b"P5\n%d %d\n#" % (10**6, 10**6)
+    head += b"x" * (PGM_READ - 4 - len(head)) + b"\n"
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as fh:
+            fh.write(head)
+            while True:
+                fh.write(b"9" * (1 << 16))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        proc = run_child("metrics", "--in", str(path), "--enc", str(path))
+    finally:
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
+        writer.join()
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == f"{path}: non-numeric header field"
 
 
 def test_kpa_line_at_the_cap_is_exit_3(tmp_path, capsys):

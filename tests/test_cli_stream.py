@@ -376,6 +376,52 @@ def test_a_maxval_token_cut_by_the_first_read_is_read_whole(tmp_path):
         open_pgm(path)
 
 
+def _image_through_a_fifo(path, data):
+    """open_pgm(path).image() while a writer sends data into a FIFO at path,
+    all but its last byte, then that byte after a 0.1 s pause."""
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as fh:
+            fh.write(data[:-1])
+            time.sleep(0.1)
+            fh.write(data[-1:])
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with open_pgm(path) as src:
+            return src.image()
+    finally:
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
+        writer.join()
+
+
+@pytest.mark.parametrize("maxval", [b"255", b"0255", b"+255", b"2_55", b"2555", b"25"])
+@pytest.mark.parametrize("length", range(PGM_READ - 1, PGM_READ + 5), ids=lambda n: f"PGM_READ{n - PGM_READ:+d}")
+def test_a_file_and_a_pipe_read_a_header_by_one_rule(tmp_path, length, maxval):
+    # each gives read_pgm's image or message, or a truncated header if the
+    # maxval token starts past the first read; a pipe whose maxval the first
+    # read cuts is read to the last byte, which comes after the pause
+    img = _image((8, 8))
+    data = _padded(img, length, maxval)
+    try:
+        expected = read_pgm(data)
+    except PgmError as exc:
+        expected = str(exc)
+    if length - 1 - len(maxval) >= PGM_READ:
+        expected = "truncated header"
+    file = tmp_path / "in.pgm"
+    file.write_bytes(data)
+    opens = {file: load_pgm, tmp_path / "fifo": lambda path: _image_through_a_fifo(path, data)}
+    for path, open_image in opens.items():
+        if isinstance(expected, str):
+            with pytest.raises(PgmError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+                open_image(path)
+        else:
+            assert open_image(path) == expected == img
+
+
 @pytest.mark.parametrize("verb", ["metrics", "encrypt"])
 @pytest.mark.parametrize("source", ["dev-zero", "zero-file"])
 def test_zero_bytes_are_one_short_error_line_in_under_a_second(tmp_path, capsys, verb, source):
@@ -449,6 +495,20 @@ def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, argv):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
+    assert peak < 1 << 20
+
+
+def test_a_2048_square_file_whose_maxval_the_first_read_cuts_streams_under_1_mib(tmp_path):
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_padded(_image((2048, 2048)), PGM_READ + 2))
+    tracemalloc.start()
+    try:
+        with open_pgm(path) as src:
+            for _ in src.chunks():
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1 << 20
 
 

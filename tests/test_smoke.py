@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# the fenced block after "Typical table (seed 1):" in the README
+README_TABLE = (ROOT / "README.md").read_text().split("Typical table (seed 1):", 1)[1].split("```\n")[1]
 
 
 def run(*argv):
@@ -49,3 +51,5 @@ def test_demo_script_runs(script):
     proc = run(*script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if "report" in script:
+        assert proc.stdout == README_TABLE
