@@ -8,9 +8,11 @@ that gives a kernel its blocks' offsets, feeds it the block sequence in
 chunks: of an image in memory (map_blocks reassembles the raster) or of a
 PGM file opened with open_pgm (its header in the first PGM_READ bytes,
 128 KiB, bar a maxval's tail), whose pixels can go from file to kernel to
-write_pgm one chunk at a time.  Each consumer names its chunk size: the
-cipher kernels MAP_CHUNK blocks (128 KiB), metrics 2^15 pixels and the
-brute-dwc ranking half a MAP_CHUNK.
+write_pgm one chunk at a time: from the input itself if it is a regular
+P5 file, or else from a spool, an unlinked temporary file in TMPDIR that
+open_pgm copies the pixels into if the free space there holds them.  Each
+consumer names its chunk size: the cipher kernels MAP_CHUNK blocks
+(128 KiB), metrics 2^15 pixels and the brute-dwc ranking half a MAP_CHUNK.
 Of the generators, gen_photo fills its raster in row bands of 2^14 pixels,
 so its float64 work is one band at any image size.
 """
@@ -18,10 +20,10 @@ so its float64 work is one band at any image size.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import re
 import stat
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -30,7 +32,8 @@ import numpy as np
 
 class PgmError(ValueError):
     """A PGM input the codec refuses: a malformed header or sample, a
-    maxval other than 255, or fewer pixels than the header declares."""
+    maxval other than 255, fewer pixels than the header declares, or more
+    than the free space for a spool holds."""
 
 
 class BadDimensionsError(ValueError):
@@ -41,6 +44,7 @@ class BadDimensionsError(ValueError):
 
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
 PGM_READ = 1 << 17  # bytes per open_pgm read; a header must end in the first
+_DIGITS = 4300  # the most a header number may have: int()'s default limit, whatever the interpreter's
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +169,9 @@ def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
     if magic[0] not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
     tokens, offset = _header_tokens(data, 4)
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as exc:
-        raise PgmError("non-numeric header field") from exc
+    if not all(t.isdigit() and len(t) <= _DIGITS for t in tokens[1:4]):  # ASCII digits only
+        raise PgmError("non-numeric header field")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if width <= 0 or height <= 0:
         raise PgmError("non-positive dimensions")
     if maxval != 255:
@@ -204,15 +207,15 @@ def read_pgm(data: bytes) -> GrayImage:
 
 
 class PgmSource:
-    """A PGM file opened by open_pgm: header, size and truncation checked.
+    """A PGM opened by open_pgm: header, size and truncation checked.
 
     chunks(pixels) yields the pixels in raster order, that many at a time
     (by default MAP_CHUNK blocks, 128 KiB), read into one buffer per call:
     a chunk is valid only until the next one.  image() is the one-chunk
-    call, so its array is its own.  Every regular P5 file is read from the
-    file, so memory does not grow with the image; P2, or a pipe or device
-    (P5 only to the exact end its header declares, in pieces as the data
-    comes), is read whole and served from memory.  Use it as a context manager.
+    call, so its array is its own.  The pixels are read from a seekable
+    file: a regular P5 input itself, or else the spool open_pgm copied the
+    input's pixels into, so memory does not grow with the image.  Use it
+    as a context manager; leaving it closes the file.
     """
 
     def __init__(self, fh, path, width: int, height: int, offset: int):
@@ -247,7 +250,11 @@ class PgmSource:
 def open_pgm(path) -> PgmSource:
     """Open a PGM file and run read_pgm's checks on a header read whole: in
     the first PGM_READ bytes, bar the rest of a maxval token that starts
-    there.  A PgmError's message starts with the path."""
+    there.  A regular P5 file is served as it is.  Any other input (P2, a
+    pipe, a device) is copied whole into a spool, a temporary file in
+    TMPDIR unlinked on creation, in PGM_READ pieces, so it is checked in
+    full before the call returns; a declared size larger than the free
+    space there is a PgmError.  A PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
         head, cap = b"", PGM_READ  # in read1 pieces, which a held-open pipe returns, until the header ends
@@ -256,18 +263,29 @@ def open_pgm(path) -> PgmSource:
             with contextlib.suppress(PgmError):
                 if _header_tokens(head, 4)[1] <= len(head):
                     break
-                cap = 2 * PGM_READ  # the maxval token runs on: to its end, or past int()'s digit limit
+                cap = 2 * PGM_READ  # the maxval token runs on: to its end, or past _DIGITS
         magic, width, height, offset = _read_header(head)
-        st = os.fstat(fh.fileno())
+        n, st = width * height, os.fstat(fh.fileno())
         if magic == b"P5" and stat.S_ISREG(st.st_mode):
-            _check_payload(width * height, st.st_size - offset)
+            _check_payload(n, st.st_size - offset)
             return PgmSource(fh, path, width, height, offset)
-        end = offset + width * height if magic == b"P5" else float("inf")  # P2 to EOF
-        data = bytearray(head)
-        while len(data) < end and (piece := fh.read1(PGM_READ)):  # not read(n): it allocates n
-            data += piece
-        fh.close()
-        return PgmSource(io.BytesIO(read_pgm(data).pixels), path, width, height, 0)
+        with fh, contextlib.ExitStack() as on_error:
+            spool = on_error.enter_context(tempfile.TemporaryFile())
+            st = os.fstatvfs(spool.fileno())
+            if n > (free := st.f_bavail * st.f_frsize):
+                raise PgmError(f"{n} pixels declared, more than the {free} bytes free to spool them")
+            if magic == b"P5":  # to the declared end and no further: a writer may hold a pipe open
+                got = spool.write(head[offset : offset + n])
+                while got < n and (piece := fh.read1(min(PGM_READ, n - got))):  # not read(n): it allocates n
+                    got += spool.write(piece)
+                _check_payload(n, got)
+            else:  # P2 to EOF
+                data = bytearray(head)
+                while piece := fh.read1(PGM_READ):
+                    data += piece
+                spool.write(read_pgm(data).pixels)
+            on_error.pop_all()
+            return PgmSource(spool, path, width, height, 0)
     except BaseException as exc:
         fh.close()
         if isinstance(exc, PgmError):

@@ -6,8 +6,10 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -328,11 +330,12 @@ def test_report_skips_an_unreadable_fixture_with_a_warning(tmp_path, capsys, mon
     ]
 
 
-def run_child(*argv, fixtures=None):
+def run_child(*argv, fixtures=None, **variables):
     """The CLI in a child process with 1 GiB of address space and a 60 s
-    timeout, so an input read without bound fails there, not in the test."""
+    timeout, so an input read without bound fails there, not in the test.
+    The keyword arguments past fixtures are set in its environment."""
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **variables)
     env.pop(cli.FIXTURES_ENV, None)
     if fixtures:
         env[cli.FIXTURES_ENV] = str(fixtures)
@@ -625,6 +628,46 @@ def test_a_pgm_pipe_whose_maxval_never_ends_is_exit_3(tmp_path):
     assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["message"] == f"{path}: non-numeric header field"
+
+
+def test_an_endless_p5_pipe_larger_than_the_free_space_is_exit_3(tmp_path):
+    # 10^12 pixels declared, then zeros until the reader closes: refused
+    # before any pixel is spooled, and before --out is opened
+    if shutil.disk_usage(tempfile.gettempdir()).free >= 10**12:
+        pytest.skip("the temporary directory has room for 10^12 pixels")
+    path, out = tmp_path / "fifo", tmp_path / "out.pgm"
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as fh:
+            fh.write(b"P5\n%d %d\n255\n" % (10**6, 10**6))
+            while True:
+                fh.write(bytes(1 << 16))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    start = time.perf_counter()
+    try:
+        proc = run_child("encrypt", "--alg", "dwc", "--key", "5f", "--in", str(path), "--out", str(out))
+    finally:
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
+        writer.join()
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, out.exists()) == (cli.EXIT_FILE, "", False)
+    (line,) = proc.stderr.splitlines()
+    message = f"{re.escape(str(path))}: {10**12} pixels declared, more than the [0-9]+ bytes free to spool them"
+    assert re.fullmatch(message, json.loads(line)["message"])
+
+
+def test_a_header_number_past_the_default_digit_limit_is_exit_3_with_the_limit_off(tmp_path):
+    # with int()'s limit off, the 300,000 nines would be parsed, and quoted whole in the message
+    path = tmp_path / "nines.pgm"
+    path.write_bytes(b"P5\n2 2\n" + b"9" * 300_000 + b"\n" + bytes(4))
+    proc = run_child("metrics", "--in", str(path), "--enc", str(path), PYTHONINTMAXSTRDIGITS="0")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == f"{path}: non-numeric header field"
+    assert len(line) < 512
 
 
 def test_kpa_line_at_the_cap_is_exit_3(tmp_path, capsys):

@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import re
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -318,13 +319,12 @@ def test_a_small_image_opens_while_its_writer_holds_the_pipe_open(tmp_path):
 
 
 def test_a_pipe_that_sends_less_than_its_header_declares_is_a_truncation_error(tmp_path):
-    # 10^20 pixels declared: the read must not allocate them ahead of the data
     path = tmp_path / "fifo"
     os.mkfifo(path)
-    writer = threading.Thread(target=lambda: path.write_bytes(b"P5\n%d %d\n255\n" % (10**10, 10**10) + bytes(9)))
+    writer = threading.Thread(target=lambda: path.write_bytes(b"P5\n1000 1000\n255\n" + bytes(9)))
     writer.start()
     try:
-        with pytest.raises(PgmError, match=f"^{path}: expected {10**20} pixels, got 9$"):
+        with pytest.raises(PgmError, match=f"^{path}: expected 1000000 pixels, got 9$"):
             open_pgm(path)
     finally:
         writer.join()
@@ -422,6 +422,34 @@ def test_a_file_and_a_pipe_read_a_header_by_one_rule(tmp_path, length, maxval):
             assert open_image(path) == expected == img
 
 
+def _no_room(path, n):
+    return f"^{re.escape(str(path))}: {n} pixels declared, more than the [0-9]+ bytes free to spool them$"
+
+
+def test_a_pipe_that_declares_more_pixels_than_the_free_space_is_refused(tmp_path):
+    # 10^20 pixels declared: refused before anything is read past the header
+    path = tmp_path / "fifo"
+    with pytest.raises(PgmError, match=_no_room(path, 10**20)):
+        _image_through_a_fifo(path, b"P5\n%d %d\n255\n" % (10**10, 10**10) + bytes(9))
+
+
+def test_no_spool_outlives_its_call(tmp_path, monkeypatch):
+    # a spool dropped without being closed fails here too, as an unraisable ResourceWarning
+    spools = tmp_path / "spools"
+    spools.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spools))
+    img = _image((402, 1000))
+    assert _image_through_a_fifo(tmp_path / "p5", _p5(img)) == img
+    p2 = _p2(_image((40, 100)))
+    assert _image_through_a_fifo(tmp_path / "p2", p2) == read_pgm(p2)
+    short, huge = tmp_path / "short", tmp_path / "huge"
+    with pytest.raises(PgmError, match=f"^{re.escape(str(short))}: expected 1000000 pixels, got 9$"):
+        _image_through_a_fifo(short, b"P5\n1000 1000\n255\n" + bytes(9))
+    with pytest.raises(PgmError, match=_no_room(huge, 10**20)):
+        _image_through_a_fifo(huge, b"P5\n%d %d\n255\n" % (10**10, 10**10) + bytes(9))
+    assert os.listdir(spools) == []
+
+
 @pytest.mark.parametrize("verb", ["metrics", "encrypt"])
 @pytest.mark.parametrize("source", ["dev-zero", "zero-file"])
 def test_zero_bytes_are_one_short_error_line_in_under_a_second(tmp_path, capsys, verb, source):
@@ -467,33 +495,74 @@ def test_a_file_that_shrinks_while_it_is_read_is_a_truncation_error(tmp_path):
 # --- memory ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["encrypt", "--alg", "ecchc", "--key", KEYS["ecchc"], "--in", "{plain}", "--out", "{out}"],
-        ["decrypt", "--alg", "ecchc", "--key", KEYS["ecchc"], "--in", "{plain}", "--out", "{out}"],
-        ["encrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
-        ["decrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
-        ["metrics", "--in", "{plain}", "--enc", "{other}"],
-        ["attack", "brute-hill", "--in", "{plain}", "--enc", "{hill}", "--mask", KEYS["ecchc"][:4] + "????"],
-        ["attack", "brute-dwc", "--enc", "{plain}"],
-    ],
-    ids=["encrypt-ecchc", "decrypt-ecchc", "encrypt-dwc", "decrypt-dwc", "metrics", "brute-hill", "brute-dwc"],
-)
-def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, argv):
-    paths = {name: tmp_path / f"{name}.pgm" for name in ("plain", "other", "hill", "out")}
+COMMANDS_2048 = {
+    "encrypt-ecchc": ["encrypt", "--alg", "ecchc", "--key", KEYS["ecchc"], "--in", "{plain}", "--out", "{out}"],
+    "decrypt-ecchc": ["decrypt", "--alg", "ecchc", "--key", KEYS["ecchc"], "--in", "{plain}", "--out", "{out}"],
+    "encrypt-dwc": ["encrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
+    "decrypt-dwc": ["decrypt", "--alg", "dwc", "--key", KEYS["dwc"], "--in", "{plain}", "--out", "{out}"],
+    "metrics": ["metrics", "--in", "{plain}", "--enc", "{other}"],
+    "brute-hill": ["attack", "brute-hill", "--in", "{plain}", "--enc", "{hill}", "--mask", KEYS["ecchc"][:4] + "????"],
+    "brute-dwc": ["attack", "brute-dwc", "--enc", "{plain}"],
+}
+
+
+def _inputs_2048():
+    """The P5 bytes of the 2048² inputs COMMANDS_2048 name."""
     plain = gen_photo(0, 2048, 2048)
-    save_pgm(plain, paths["plain"])
-    save_pgm(gen_photo(1, 2048, 2048), paths["other"])
-    save_pgm(LIBRARY["encrypt", "ecchc"](plain), paths["hill"])  # a pair that the key fits
-    argv = [arg.format(**paths) for arg in argv]
-    assert cli.main(argv) == 0  # first use builds the dwc tables and the parser
+    hill = LIBRARY["encrypt", "ecchc"](plain)  # a pair that the key fits
+    return {"plain": _p5(plain), "other": _p5(gen_photo(1, 2048, 2048)), "hill": _p5(hill)}
+
+
+def _second_call_peak(run):
+    """The traced peak of run()'s second call; the first builds the dwc
+    tables and the parser.  Each call must return 0."""
+    assert run() == 0
     tracemalloc.start()
     try:
-        assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert run() == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", list(COMMANDS_2048))
+def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, name):
+    paths = {"out": tmp_path / "out.pgm"}
+    for key, data in _inputs_2048().items():
+        paths[key] = tmp_path / f"{key}.pgm"
+        paths[key].write_bytes(data)
+    argv = [arg.format(**paths) for arg in COMMANDS_2048[name]]
+    peak = _second_call_peak(lambda: cli.main(argv))
+    capsys.readouterr()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["encrypt-ecchc", "metrics", "brute-hill"])
+def test_a_2048_square_command_on_fifos_peaks_under_1_mib(tmp_path, capsys, name):
+    inputs, paths = _inputs_2048(), {"out": tmp_path / "out.pgm"}
+    for key in inputs:
+        paths[key] = tmp_path / key
+        os.mkfifo(paths[key])
+    argv = [arg.format(**paths) for arg in COMMANDS_2048[name]]
+    feeds = {paths[key]: data for key, data in inputs.items() if str(paths[key]) in argv}
+
+    def write(path, data):
+        with contextlib.suppress(BrokenPipeError):
+            path.write_bytes(data)
+
+    def run():
+        writers = [threading.Thread(target=write, args=feed) for feed in feeds.items()]
+        for writer in writers:
+            writer.start()
+        try:
+            return cli.main(argv)
+        finally:
+            for path in feeds:
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
+            for writer in writers:
+                writer.join()
+
+    peak = _second_call_peak(run)
     capsys.readouterr()
     assert peak < 1 << 20
 

@@ -1,3 +1,4 @@
+import re
 import tempfile
 import time
 import tracemalloc
@@ -156,9 +157,22 @@ def test_read_pgm_p5_views_the_payload_without_copying():
 
 
 def test_pgm_accepts_the_forms_int_accepts():
-    # a sign, leading zeros and digit-group underscores, in the header and the samples
-    img = read_pgm(b"P2\n+3 001\n2_55\n007 +5 1_0\n")
+    # a sign, leading zeros and digit-group underscores in the samples; the
+    # header takes ASCII digits only, leading zeros included
+    img = read_pgm(b"P2\n3 001\n0255\n007 +5 1_0\n")
     assert img.tobytes() == bytes([7, 5, 10])
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P2 3 1 +255", b"P2 3 1 2_55", b"P2 +3 1 255", b"P2 3 1_0 255", b"P5 3 1 \xd9\xa5", b"P5 3 1 " + b"0" * 4298 + b"255"],
+    ids=["plus-maxval", "underscore-maxval", "plus-width", "underscore-height", "arabic-indic-digits", "4301-digits"],
+)
+def test_pgm_header_numbers_are_ascii_decimal_digits(header):
+    data = header + b"\n007 +5 1_0\n"
+    with pytest.raises(PgmError, match="^non-numeric header field$"):
+        read_pgm(data)
+    assert read_pgm(b"P5 3 1 " + b"0" * 4297 + b"255\n" + bytes(3)).tobytes() == bytes(3)  # 4,300 digits
 
 
 @pytest.mark.parametrize("kind", ["whitespace", "one token", "comments"])
@@ -209,10 +223,9 @@ def _oracle_read_pgm(data):
     if magic[0] not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
     tokens, offset = _oracle_header_tokens(data, 4)
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as exc:
-        raise PgmError("non-numeric header field") from exc
+    if any(re.fullmatch(rb"[0-9]{1,4300}", t) is None for t in tokens[1:4]):
+        raise PgmError("non-numeric header field")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if width <= 0 or height <= 0:
         raise PgmError("non-positive dimensions")
     if maxval != 255:
