@@ -10,9 +10,10 @@ PGM file opened with open_pgm (its header in the first PGM_READ bytes,
 128 KiB, bar a maxval's tail), whose pixels can go from file to kernel to
 write_pgm one chunk at a time: from the input itself if it is a regular
 P5 file, or else from a spool, an unlinked temporary file in TMPDIR that
-open_pgm copies the pixels into if the free space there holds them.  Each
-consumer names its chunk size: the cipher kernels MAP_CHUNK blocks
-(128 KiB), metrics 2^15 pixels and the brute-dwc ranking half a MAP_CHUNK.
+open_pgm, the one PGM reader, puts the pixels into (a P2 body parsed piece
+by piece) if the free space there holds them.  Each consumer names its
+chunk size: the cipher kernels MAP_CHUNK blocks (128 KiB), metrics 2^15
+pixels and the brute-dwc ranking half a MAP_CHUNK.
 Of the generators, gen_photo fills its raster in row bands of 2^14 pixels,
 so its float64 work is one band at any image size.
 """
@@ -25,13 +26,14 @@ import re
 import stat
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 
 class PgmError(ValueError):
-    """A PGM input the codec refuses: a malformed header or sample, a
+    """A PGM input open_pgm refuses: a malformed header or sample, a
     maxval other than 255, fewer pixels than the header declares, or more
     than the free space for a spool holds."""
 
@@ -184,26 +186,46 @@ def _check_payload(n: int, got: int) -> None:
         raise PgmError(f"expected {n} pixels, got {max(0, got)}")
 
 
-def read_pgm(data: bytes) -> GrayImage:
-    """Parse a P5 (binary) or P2 (ASCII) PGM with maxval 255."""
-    magic, width, height, offset = _read_header(data)
-    n = width * height
-    if magic == b"P5":
-        _check_payload(n, len(data) - offset)
-        # P5 pixels are a read-only view of the payload in `data`, not a copy.
-        pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
-        return GrayImage(pixels.reshape(height, width))
-    # ASCII samples; any '#' starts a comment that runs to the line's end.
-    fields = re.sub(rb"#[^\r\n]*", b"", data[offset:]).split()
-    if len(fields) < n:
-        raise PgmError(f"expected {n} samples, got {len(fields)}")
-    try:
-        values = [int(f) for f in fields[:n]]
-    except ValueError as exc:
-        raise PgmError("non-numeric sample") from exc
-    if any(v < 0 or v > 255 for v in values):
-        raise PgmError("sample out of range for maxval 255")
-    return GrayImage(np.frombuffer(bytes(values), dtype=np.uint8).reshape(height, width))
+def _p2_pixels(pieces: Iterable[bytes], n: int) -> Iterator[bytes]:
+    """The first n samples of a P2 body, in pieces of at most PGM_READ
+    bytes, as pixel bytes.  Each piece is parsed up to its last whitespace
+    byte outside a comment, the rest carried into the next: a partial token
+    whole (up to PGM_READ bytes), an open comment as its '#' alone.  So a
+    sample longer than PGM_READ bytes is non-numeric, whatever int()'s
+    digit limit.  No piece is taken once n samples are in.  Errors come in
+    this order: too few samples, a non-numeric one among the first n, one
+    out of range."""
+    got, error, carry = 0, None, b""
+    for piece in chain(pieces, [None]):  # None: the end, where the carry is parsed whole
+        data, carry = carry + (piece or b""), b""
+        if piece is not None:
+            eol = max(data.rfind(b"\n"), data.rfind(b"\r"))
+            end = data.find(b"#", eol + 1) % (len(data) + 1)  # an open comment's '#', else len(data)
+            cut = 1 + max(data.rfind(c, 0, end) for c in b" \t\n\r\x0b\x0c")
+            token = data[cut:end] if end - cut <= PGM_READ else b"x"  # int() refuses "x" and what follows
+            data, carry = data[:cut], token + data[end : end + 1]
+        # a '#' starts a comment wherever it stands, and a CR or LF ends it
+        fields = re.sub(rb"#[^\r\n]*", b"", data).split()[: n - got]
+        if fields and len(fields[0]) > PGM_READ:  # only the first sample, begun in the carry, can be
+            fields[0] = b"x"
+        got += len(fields)
+        try:
+            pixels = bytes(map(int, fields))
+        except ValueError:  # a non-numeric sample, or one out of range
+            try:
+                list(map(int, fields))
+                error = error or "sample out of range for maxval 255"
+            except ValueError:
+                error = "non-numeric sample"
+        else:
+            if error is None:
+                yield pixels
+        if got == n:
+            break
+    if got < n:
+        raise PgmError(f"expected {n} samples, got {got}")
+    if error:
+        raise PgmError(error)
 
 
 class PgmSource:
@@ -248,17 +270,17 @@ class PgmSource:
 
 
 def open_pgm(path) -> PgmSource:
-    """Open a PGM file and run read_pgm's checks on a header read whole: in
-    the first PGM_READ bytes, bar the rest of a maxval token that starts
-    there.  A regular P5 file is served as it is.  Any other input (P2, a
-    pipe, a device) is copied whole into a spool, a temporary file in
-    TMPDIR unlinked on creation, in PGM_READ pieces, so it is checked in
-    full before the call returns; a declared size larger than the free
-    space there is a PgmError.  A PgmError's message starts with the path."""
+    """Open a PGM file and check its header, read whole once: in the first
+    PGM_READ bytes, bar the rest of a maxval token that starts there.  A
+    regular P5 file is served as it is.  Any other input (P2, a pipe, a
+    device) has its pixels put into a spool, a temporary file in TMPDIR
+    unlinked on creation, piece by piece up to the last pixel, so it is
+    checked in full before the call returns; a declared size larger than
+    the free space there is refused.  A PgmError's message starts with the path."""
     fh = open(path, "rb")
     try:
         head, cap = b"", PGM_READ  # in read1 pieces, which a held-open pipe returns, until the header ends
-        while len(head) < cap and (piece := fh.read1(cap - len(head))):
+        while len(head) < cap and (piece := fh.read1(min(PGM_READ, cap - len(head)))):  # each at most PGM_READ, as is then a P2 body's first piece
             head += piece
             with contextlib.suppress(PgmError):
                 if _header_tokens(head, 4)[1] <= len(head):
@@ -279,11 +301,9 @@ def open_pgm(path) -> PgmSource:
                 while got < n and (piece := fh.read1(min(PGM_READ, n - got))):  # not read(n): it allocates n
                     got += spool.write(piece)
                 _check_payload(n, got)
-            else:  # P2 to EOF
-                data = bytearray(head)
-                while piece := fh.read1(PGM_READ):
-                    data += piece
-                spool.write(read_pgm(data).pixels)
+            else:
+                pieces = chain([head[offset:]], iter(lambda: fh.read1(PGM_READ), b""))
+                spool.writelines(_p2_pixels(pieces, n))
             on_error.pop_all()
             return PgmSource(spool, path, width, height, 0)
     except BaseException as exc:

@@ -2,15 +2,18 @@
 expectations of the calibration pairs, the full expansion of a Z/256 row
 coset, the Hill layer's 4x4 block matrix written out entry by entry and as
 hill_apply computes it, the whole-array Hill key solve, and a general
-run-length code; and the random Hill key and one-block encryption that
-several files draw their samples with."""
+run-length code; the PGM reader that reads a header one byte at a time;
+and the random Hill key and one-block encryption that several files draw
+their samples with."""
 
 import math
+import re
 
 import numpy as np
 
 from cipher_autopsy.algebra import bytes_mod256, row_coset, two_smallest
 from cipher_autopsy.ecchc import HillKey, expand_key, hill_apply
+from cipher_autopsy.imagekit import GrayImage, PgmError
 
 
 def reference_expectations() -> dict[str, float]:
@@ -112,3 +115,68 @@ def rle(mask) -> str:
     starts = np.flatnonzero(np.diff(flat, prepend=2))  # every run start; 2 is no byte value
     lengths = np.diff(starts, append=flat.size)
     return ",".join(f"{flat[s]}:{n}" for s, n in zip(starts, lengths))
+
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def header_tokens(data, count):
+    """The header read one byte at a time: skip whitespace, skip a '#'
+    comment up to its '\n', else take a token and the one whitespace byte
+    after it.  Returns the tokens and the offset past that byte."""
+    tokens = []
+    pos = 0
+    while len(tokens) < count:
+        while pos < len(data) and data[pos : pos + 1] in _WHITESPACE:
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise PgmError("unterminated comment")
+            pos = end + 1
+            continue
+        start = pos
+        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
+            pos += 1
+        if start == pos:
+            raise PgmError("truncated header")
+        tokens.append(data[start:pos])
+        pos += 1
+    return tokens, pos
+
+
+def read_pgm(data):
+    """The image of the PGM bytes in data, or the PgmError that open_pgm
+    gives for a file of them, less its path prefix, if open_pgm reads the
+    header whole.  The header is read by header_tokens, and a P2 body is
+    parsed whole, its comments cut line by line."""
+    magic, _ = header_tokens(data, 1)
+    if magic[0] not in (b"P5", b"P2"):
+        raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
+    tokens, offset = header_tokens(data, 4)
+    if any(re.fullmatch(rb"[0-9]{1,4300}", t) is None for t in tokens[1:4]):
+        raise PgmError("non-numeric header field")
+    width, height, maxval = (int(t) for t in tokens[1:4])
+    if width <= 0 or height <= 0:
+        raise PgmError("non-positive dimensions")
+    if maxval != 255:
+        raise PgmError(f"maxval {maxval} unsupported, need 255")
+    n = width * height
+    if tokens[0] == b"P5":
+        got = max(0, len(data) - offset)
+        if got < n:
+            raise PgmError(f"expected {n} pixels, got {got}")
+        pixels = data[offset : offset + n]
+    else:
+        clean = b"\n".join(line.split(b"#", 1)[0] for line in data[offset:].splitlines())
+        fields = clean.split()
+        if len(fields) < n:
+            raise PgmError(f"expected {n} samples, got {len(fields)}")
+        try:
+            values = [int(f) for f in fields[:n]]
+        except ValueError as exc:
+            raise PgmError("non-numeric sample") from exc
+        if any(v < 0 or v > 255 for v in values):
+            raise PgmError("sample out of range for maxval 255")
+        pixels = bytes(values)
+    return GrayImage(np.frombuffer(pixels, dtype=np.uint8).reshape(height, width))

@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -604,27 +605,33 @@ def test_kpa_from_the_zero_device_is_exit_3():
     assert json.loads(line)["message"] == f"/dev/zero:1: line reaches {cli.LINE_CAP} characters"
 
 
-def test_a_pgm_pipe_whose_maxval_never_ends_is_exit_3(tmp_path):
-    # 10^12 pixels declared, then a comment, then maxval digits from the last
-    # 3 bytes of the first read on, until the reader closes
-    path = tmp_path / "fifo"
+def _run_child_on_a_fifo(path, chunks, *argv):
+    """run_child(*argv) while a writer sends chunks into a FIFO at path,
+    then closes it; a writer of endless chunks ends when the reader does."""
     os.mkfifo(path)
-    head = b"P5\n%d %d\n#" % (10**6, 10**6)
-    head += b"x" * (PGM_READ - 4 - len(head)) + b"\n"
 
     def write():
         with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as fh:
-            fh.write(head)
-            while True:
-                fh.write(b"9" * (1 << 16))
+            for chunk in chunks:
+                fh.write(chunk)
 
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        proc = run_child("metrics", "--in", str(path), "--enc", str(path))
+        return run_child(*argv)
     finally:
         os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
         writer.join()
+
+
+def test_a_pgm_pipe_whose_maxval_never_ends_is_exit_3(tmp_path):
+    # 10^12 pixels declared, then a comment, then maxval digits from the last
+    # 3 bytes of the first read on, until the reader closes
+    path = tmp_path / "fifo"
+    head = b"P5\n%d %d\n#" % (10**6, 10**6)
+    head += b"x" * (PGM_READ - 4 - len(head)) + b"\n"
+    chunks = chain([head], repeat(b"9" * (1 << 16)))
+    proc = _run_child_on_a_fifo(path, chunks, "metrics", "--in", str(path), "--enc", str(path))
     assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["message"] == f"{path}: non-numeric header field"
@@ -636,22 +643,10 @@ def test_an_endless_p5_pipe_larger_than_the_free_space_is_exit_3(tmp_path):
     if shutil.disk_usage(tempfile.gettempdir()).free >= 10**12:
         pytest.skip("the temporary directory has room for 10^12 pixels")
     path, out = tmp_path / "fifo", tmp_path / "out.pgm"
-    os.mkfifo(path)
-
-    def write():
-        with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as fh:
-            fh.write(b"P5\n%d %d\n255\n" % (10**6, 10**6))
-            while True:
-                fh.write(bytes(1 << 16))
-
-    writer = threading.Thread(target=write)
-    writer.start()
+    chunks = chain([b"P5\n%d %d\n255\n" % (10**6, 10**6)], repeat(bytes(1 << 16)))
+    argv = "encrypt", "--alg", "dwc", "--key", "5f", "--in", str(path), "--out", str(out)
     start = time.perf_counter()
-    try:
-        proc = run_child("encrypt", "--alg", "dwc", "--key", "5f", "--in", str(path), "--out", str(out))
-    finally:
-        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
-        writer.join()
+    proc = _run_child_on_a_fifo(path, chunks, *argv)
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout, out.exists()) == (cli.EXIT_FILE, "", False)
     (line,) = proc.stderr.splitlines()
@@ -668,6 +663,40 @@ def test_a_header_number_past_the_default_digit_limit_is_exit_3_with_the_limit_o
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["message"] == f"{path}: non-numeric header field"
     assert len(line) < 512
+
+
+def test_an_endless_p2_pipe_is_read_to_its_last_sample(tmp_path):
+    # 4 samples declared, then "1 " without end: nothing is read past the 4th
+    path, out = tmp_path / "fifo", tmp_path / "out.pgm"
+    start = time.perf_counter()
+    argv = "encrypt", "--alg", "dwc", "--key", "5f", "--in", str(path), "--out", str(out)
+    proc = _run_child_on_a_fifo(path, chain([b"P2\n2 2\n255\n"], repeat(b"1 " * (1 << 15))), *argv)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert load_pgm(out) == dwc_encrypt(gen_constant(1, 2, 2), 0x5F)
+
+
+@pytest.mark.parametrize("start, filler, got", [(b"#", b"a", 0), (b"", b"9", 1)], ids=["comment", "sample"])
+def test_a_p2_comment_or_sample_of_640_mib_is_read_in_bounded_memory(tmp_path, start, filler, got):
+    # a comment is carried as its '#' alone, a sample up to PGM_READ bytes
+    path, out = tmp_path / "fifo", tmp_path / "out.pgm"
+    argv = "encrypt", "--alg", "dwc", "--key", "5f", "--in", str(path), "--out", str(out)
+    chunks = chain([b"P2\n2 2\n255\n" + start], repeat(filler * (1 << 16), 640 << 4))
+    proc = _run_child_on_a_fifo(path, chunks, *argv)
+    assert (proc.returncode, proc.stdout, out.exists()) == (cli.EXIT_FILE, "", False)
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == f"{path}: expected 4 samples, got {got}"
+
+
+def test_a_p2_sample_longer_than_a_read_is_non_numeric_whatever_the_digit_limit(tmp_path):
+    # with int()'s limit off, the 200 KiB of digits would parse, and be out of range
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n7 " + b"9" * (200 << 10) + b" 7 7\n")
+    for limit in ("4300", "0"):
+        proc = run_child("metrics", "--in", str(path), "--enc", str(path), PYTHONINTMAXSTRDIGITS=limit)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, ""), limit
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["message"] == f"{path}: non-numeric sample", limit
 
 
 def test_kpa_line_at_the_cap_is_exit_3(tmp_path, capsys):

@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import rle
+from oracles import read_pgm, rle
 
 from cipher_autopsy import attacks, cli, dwc, ecchc, metrics
 from cipher_autopsy.imagekit import (
@@ -30,7 +30,6 @@ from cipher_autopsy.imagekit import (
     gen_photo,
     load_pgm,
     open_pgm,
-    read_pgm,
     save_pgm,
 )
 
@@ -56,7 +55,7 @@ def _p5(img, header=b"P5\n%d %d\n255\n"):
     return header % (img.width, img.height) + img.tobytes()
 
 
-# a comment that runs past the first read: read_pgm reads this header, open_pgm does not
+# a comment that runs past the first read: the oracle read_pgm reads this header, open_pgm does not
 LONG_HEADER = b"P5\n" + b"#" * (2 * PGM_READ) + b"\n%d %d\n255\n"
 
 
@@ -294,16 +293,15 @@ def test_a_p5_pipe_is_read_only_as_far_as_its_header_declares(tmp_path, shape):
         writer.join()
 
 
-def test_a_small_image_opens_while_its_writer_holds_the_pipe_open(tmp_path):
-    # far less than the first read's 128 KiB arrives, and no EOF until the writer closes
-    img = _image((3, 3))
-    path = tmp_path / "fifo"
+def _opens_while_its_writer_holds_the_pipe_open(path, data, img):
+    """open_pgm of a FIFO at path gives img in under 0.5 s, while its
+    writer, having sent data, holds the pipe open for 2 s more."""
     os.mkfifo(path)
     done = threading.Event()
 
     def write():
         with open(path, "wb", buffering=0) as fh:
-            fh.write(_p5(img))
+            fh.write(data)
             done.wait(2)
 
     writer = threading.Thread(target=write)
@@ -316,6 +314,18 @@ def test_a_small_image_opens_while_its_writer_holds_the_pipe_open(tmp_path):
     finally:
         done.set()
         writer.join()
+
+
+def test_a_small_image_opens_while_its_writer_holds_the_pipe_open(tmp_path):
+    # far less than the first read's 128 KiB arrives, and no EOF until the writer closes
+    img = _image((3, 3))
+    _opens_while_its_writer_holds_the_pipe_open(tmp_path / "fifo", _p5(img), img)
+
+
+def test_a_small_p2_image_opens_while_its_writer_holds_the_pipe_open(tmp_path):
+    # its 4 samples end before the pipe does, and nothing is read past the 4th
+    img = _image((2, 2))
+    _opens_while_its_writer_holds_the_pipe_open(tmp_path / "fifo", _p2(img) + b"\n", img)
 
 
 def test_a_pipe_that_sends_less_than_its_header_declares_is_a_truncation_error(tmp_path):
@@ -363,7 +373,7 @@ def test_a_header_must_end_in_the_first_read(tmp_path, data, error):
 
 def test_a_maxval_token_cut_by_the_first_read_is_read_whole(tmp_path):
     # the first read ends after "2", "25" or "255" of "255", or after "255" of
-    # "2555": the file is read on, and read_pgm's checks decide
+    # "2555": the file is read on, and the checks the oracle read_pgm makes decide
     img = _image((402, 1000))
     path = tmp_path / "in.pgm"
     for extra in (1, 2, 3):
@@ -400,7 +410,7 @@ def _image_through_a_fifo(path, data):
 @pytest.mark.parametrize("maxval", [b"255", b"0255", b"+255", b"2_55", b"2555", b"25"])
 @pytest.mark.parametrize("length", range(PGM_READ - 1, PGM_READ + 5), ids=lambda n: f"PGM_READ{n - PGM_READ:+d}")
 def test_a_file_and_a_pipe_read_a_header_by_one_rule(tmp_path, length, maxval):
-    # each gives read_pgm's image or message, or a truncated header if the
+    # each gives the oracle read_pgm's image or message, or a truncated header if the
     # maxval token starts past the first read; a pipe whose maxval the first
     # read cuts is read to the last byte, which comes after the pause
     img = _image((8, 8))
@@ -442,9 +452,11 @@ def test_no_spool_outlives_its_call(tmp_path, monkeypatch):
     assert _image_through_a_fifo(tmp_path / "p5", _p5(img)) == img
     p2 = _p2(_image((40, 100)))
     assert _image_through_a_fifo(tmp_path / "p2", p2) == read_pgm(p2)
-    short, huge = tmp_path / "short", tmp_path / "huge"
+    short, short_p2, huge = tmp_path / "short", tmp_path / "short-p2", tmp_path / "huge"
     with pytest.raises(PgmError, match=f"^{re.escape(str(short))}: expected 1000000 pixels, got 9$"):
         _image_through_a_fifo(short, b"P5\n1000 1000\n255\n" + bytes(9))
+    with pytest.raises(PgmError, match=f"^{re.escape(str(short_p2))}: expected 4 samples, got 3$"):
+        _image_through_a_fifo(short_p2, b"P2\n2 2\n255\n1 2 3\n")
     with pytest.raises(PgmError, match=_no_room(huge, 10**20)):
         _image_through_a_fifo(huge, b"P5\n%d %d\n255\n" % (10**10, 10**10) + bytes(9))
     assert os.listdir(spools) == []
@@ -579,6 +591,21 @@ def test_a_2048_square_file_whose_maxval_the_first_read_cuts_streams_under_1_mib
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_1024_square_p2_file_streams_under_8_mib(tmp_path):
+    # the body is parsed a piece at a time into the spool: one piece's
+    # samples are in memory at once, not the image's
+    path = tmp_path / "in.pgm"
+    path.write_bytes(_p2(gen_photo(0, 1024, 1024)))
+
+    def run():
+        with open_pgm(path) as src:
+            for _ in src.chunks():
+                pass
+        return 0
+
+    assert _second_call_peak(run) < 8 << 20
 
 
 def test_a_2048_square_dwc_partial_peaks_under_20_mib(tmp_path, capsys):

@@ -1,14 +1,15 @@
-import re
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cipher_autopsy import imagekit
 from cipher_autopsy.imagekit import (
     MAP_CHUNK,
     BadDimensionsError,
@@ -23,7 +24,7 @@ from cipher_autopsy.imagekit import (
     load_pgm,
     map_blocks,
     map_chunks,
-    read_pgm,
+    open_pgm,
     save_pgm,
 )
 from cipher_autopsy.metrics import evaluate_pair
@@ -85,54 +86,71 @@ def test_blocks_bijection(seed, w, h):
 # --- PGM codec ---------------------------------------------------------------
 
 
-@settings(max_examples=30)
+def _read(path, data):
+    """open_pgm's image of a file at path holding data; a PgmError loses
+    its path prefix."""
+    path.write_bytes(data)
+    try:
+        with open_pgm(path) as src:
+            return src.image()
+    except PgmError as exc:
+        prefix, message = f"{path}: ", str(exc)
+        assert message.startswith(prefix)
+        raise PgmError(message[len(prefix) :]) from None
+
+
+# each example rewrites the one file in tmp_path
+_ONE_FILE = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
+
+@settings(_ONE_FILE, max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_pgm_round_trip(seed):
+def test_pgm_round_trip(tmp_path, seed):
     img = _random_image(seed, 16, 8)
-    assert read_pgm(_saved_bytes(img)) == img
+    assert _read(tmp_path / "in.pgm", _saved_bytes(img)) == img
 
 
-def test_pgm_p2_and_p5_parse_identically():
+def test_pgm_p2_and_p5_parse_identically(tmp_path):
     img = _random_image(11, 5, 3)
     p5 = _saved_bytes(img)
     samples = " ".join(str(v) for v in img.pixels.ravel())
     p2 = f"P2\n5 3\n255\n{samples}\n".encode()
-    assert read_pgm(p2) == read_pgm(p5)
+    assert _read(tmp_path / "p2.pgm", p2) == _read(tmp_path / "p5.pgm", p5)
 
 
-def test_pgm_comments_tolerated():
+def test_pgm_comments_tolerated(tmp_path):
     data = b"P5 # binary gray\n# another comment\n2 2\n# and one more\n255\n\x01\x02\x03\x04"
-    img = read_pgm(data)
+    img = _read(tmp_path / "in.pgm", data)
     assert img.tobytes() == b"\x01\x02\x03\x04"
 
 
-def test_pgm_hand_written_minimal_header():
+def test_pgm_hand_written_minimal_header(tmp_path):
     # single-space separators throughout, written by hand
-    img = read_pgm(b"P5 2 2 255 \x0a\x0b\x0c\x0d")
+    img = _read(tmp_path / "in.pgm", b"P5 2 2 255 \x0a\x0b\x0c\x0d")
     assert img.width == 2 and img.height == 2
     assert img.tobytes() == b"\x0a\x0b\x0c\x0d"
 
 
-def test_pgm_rejects_wide_maxval():
+def test_pgm_rejects_wide_maxval(tmp_path):
     with pytest.raises(PgmError, match="^maxval 65535 unsupported, need 255$"):
-        read_pgm(b"P5\n2 2\n65535\n" + bytes(8))
+        _read(tmp_path / "in.pgm", b"P5\n2 2\n65535\n" + bytes(8))
 
 
-def test_pgm_rejects_bad_magic():
+def test_pgm_rejects_bad_magic(tmp_path):
     with pytest.raises(PgmError, match="^not a PGM: magic b'P6'$"):
-        read_pgm(b"P6\n2 2\n255\n" + bytes(12))
+        _read(tmp_path / "in.pgm", b"P6\n2 2\n255\n" + bytes(12))
 
 
-def test_pgm_rejects_truncation():
+def test_pgm_rejects_truncation(tmp_path):
     with pytest.raises(PgmError, match="^expected 16 pixels, got 3$"):
-        read_pgm(b"P5\n4 4\n255\n" + bytes(3))
+        _read(tmp_path / "in.pgm", b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(PgmError, match="^expected 4 samples, got 3$"):
-        read_pgm(b"P2\n2 2\n255\n1 2 3\n")
+        _read(tmp_path / "in.pgm", b"P2\n2 2\n255\n1 2 3\n")
 
 
-def test_pgm_rejects_out_of_range_ascii_sample():
+def test_pgm_rejects_out_of_range_ascii_sample(tmp_path):
     with pytest.raises(PgmError, match="^sample out of range for maxval 255$"):
-        read_pgm(b"P2\n2 1\n255\n12 999\n")
+        _read(tmp_path / "in.pgm", b"P2\n2 1\n255\n12 999\n")
 
 
 def test_write_is_canonical_p5():
@@ -148,18 +166,10 @@ def test_save_pgm_writes_the_bytes_of_write_pgm(tmp_path):
     assert load_pgm(path) == img
 
 
-def test_read_pgm_p5_views_the_payload_without_copying():
-    data = b"P5\n# note\n3 2\n255\n" + bytes(range(6)) + b"trailing"
-    img = read_pgm(data)
-    assert img.tobytes() == bytes(range(6))
-    assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
-    assert not img.pixels.flags.writeable
-
-
-def test_pgm_accepts_the_forms_int_accepts():
+def test_pgm_accepts_the_forms_int_accepts(tmp_path):
     # a sign, leading zeros and digit-group underscores in the samples; the
     # header takes ASCII digits only, leading zeros included
-    img = read_pgm(b"P2\n3 001\n0255\n007 +5 1_0\n")
+    img = _read(tmp_path / "in.pgm", b"P2\n3 001\n0255\n007 +5 1_0\n")
     assert img.tobytes() == bytes([7, 5, 10])
 
 
@@ -168,85 +178,29 @@ def test_pgm_accepts_the_forms_int_accepts():
     [b"P2 3 1 +255", b"P2 3 1 2_55", b"P2 +3 1 255", b"P2 3 1_0 255", b"P5 3 1 \xd9\xa5", b"P5 3 1 " + b"0" * 4298 + b"255"],
     ids=["plus-maxval", "underscore-maxval", "plus-width", "underscore-height", "arabic-indic-digits", "4301-digits"],
 )
-def test_pgm_header_numbers_are_ascii_decimal_digits(header):
+def test_pgm_header_numbers_are_ascii_decimal_digits(tmp_path, header):
     data = header + b"\n007 +5 1_0\n"
     with pytest.raises(PgmError, match="^non-numeric header field$"):
-        read_pgm(data)
-    assert read_pgm(b"P5 3 1 " + b"0" * 4297 + b"255\n" + bytes(3)).tobytes() == bytes(3)  # 4,300 digits
+        _read(tmp_path / "in.pgm", data)
+    assert _read(tmp_path / "in.pgm", b"P5 3 1 " + b"0" * 4297 + b"255\n" + bytes(3)).tobytes() == bytes(3)  # 4,300 digits
 
 
 @pytest.mark.parametrize("kind", ["whitespace", "one token", "comments"])
-def test_pgm_junk_header_is_rejected_fast(kind):
-    # 4 MiB of header took 1.4-2.8 s to reject when it was read a byte at a time
+def test_pgm_junk_header_is_rejected_fast(tmp_path, kind):
+    # 4 MiB of header took 1.4-2.8 s to reject when it was read a byte at a
+    # time; open_pgm reads at most PGM_READ bytes of it, and of the comments
+    # that read ends on a '#'
+    message = "unterminated comment" if kind == "comments" else "truncated header"
     n = 4 << 20
     junk = {"whitespace": b" " * n, "one token": b" " + b"x" * n, "comments": b"\n" + b"#\n" * (n // 2)}
     data = b"P5" + junk[kind]
     start = time.perf_counter()
-    with pytest.raises(PgmError, match="truncated header"):
-        read_pgm(data)
+    with pytest.raises(PgmError, match=f"^{message}$"):
+        _read(tmp_path / "in.pgm", data)
     assert time.perf_counter() - start < (1.0 if kind == "comments" else 0.25)
 
 
-# --- PGM parser against the byte-at-a-time oracle ------------------------------
-
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-def _oracle_header_tokens(data, count):
-    """The header read one byte at a time: skip whitespace, skip a '#'
-    comment up to its '\n', else take a token and the one whitespace byte
-    after it.  Returns the tokens and the offset past that byte."""
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1] in _WHITESPACE:
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise PgmError("unterminated comment")
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-            pos += 1
-        if start == pos:
-            raise PgmError("truncated header")
-        tokens.append(data[start:pos])
-        pos += 1
-    return tokens, pos
-
-
-def _oracle_read_pgm(data):
-    """read_pgm with the oracle header reader and P2 comments cut line by line."""
-    magic, _ = _oracle_header_tokens(data, 1)
-    if magic[0] not in (b"P5", b"P2"):
-        raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
-    tokens, offset = _oracle_header_tokens(data, 4)
-    if any(re.fullmatch(rb"[0-9]{1,4300}", t) is None for t in tokens[1:4]):
-        raise PgmError("non-numeric header field")
-    width, height, maxval = (int(t) for t in tokens[1:4])
-    if width <= 0 or height <= 0:
-        raise PgmError("non-positive dimensions")
-    if maxval != 255:
-        raise PgmError(f"maxval {maxval} unsupported, need 255")
-    n = width * height
-    if tokens[0] == b"P5":
-        got = max(0, len(data) - offset)
-        if got < n:
-            raise PgmError(f"expected {n} pixels, got {got}")
-        return _image(data[offset : offset + n], width, height)
-    clean = b"\n".join(line.split(b"#", 1)[0] for line in data[offset:].splitlines())
-    fields = clean.split()
-    if len(fields) < n:
-        raise PgmError(f"expected {n} samples, got {len(fields)}")
-    try:
-        values = [int(f) for f in fields[:n]]
-    except ValueError as exc:
-        raise PgmError("non-numeric sample") from exc
-    if any(v < 0 or v > 255 for v in values):
-        raise PgmError("sample out of range for maxval 255")
-    return _image(bytes(values), width, height)
+# --- PGM reader against the byte-at-a-time oracle ------------------------------
 
 
 def _parse_outcome(parse, data):
@@ -268,8 +222,14 @@ _sep = st.one_of(st.just(b" "), st.builds(bytes.__add__, _ws, _gap), _gap)  # _g
 _dim = st.sampled_from([b"1", b"2", b"3", b"4"] * 6 + [b"+2", b"02", b"1_0", b"0", b"-1", b"x", b"1e3"])
 _sample = st.one_of(
     st.integers(-3, 300).map(lambda v: str(v).encode()),
-    st.sampled_from([b"+5", b"007", b"1_0", b"x", b"5#6", b"\xff"]),
+    st.sampled_from([b"+5", b"007", b"000255", b"1_0", b"x", b"5#6", b"\xff", b"9" * 20]),
 )
+
+
+def _p2_body(draw, n):
+    """About n samples, so a lost one shows, with separators after each."""
+    count = max(0, n + draw(st.integers(-1, 1)))
+    return b"".join(draw(_sample) + draw(_sep) for _ in range(count))
 
 
 @st.composite
@@ -284,10 +244,7 @@ def _pgm_inputs(draw):
         head += draw(_sep) + field
     head += draw(_ws)
     if magic == b"P2":
-        # about as many samples as the header asks for, so a lost one shows
-        n = int(width) * int(height) if (width + height).isdigit() else 4
-        count = max(0, n + draw(st.integers(-1, 1)))
-        body = b"".join(draw(_sample) + draw(_sep) for _ in range(count))
+        body = _p2_body(draw, int(width) * int(height) if (width + height).isdigit() else 4)
     else:
         body = draw(st.binary(min_size=draw(st.integers(0, 16)), max_size=20))
     data = head + body
@@ -296,12 +253,33 @@ def _pgm_inputs(draw):
     return data
 
 
-@settings(max_examples=400, deadline=None)
+@settings(_ONE_FILE, max_examples=400)
 @given(data=st.one_of(_pgm_inputs(), st.binary(max_size=40)))
 @example(data=b"P2\n2 2\n255\n1 2 x 4\n")  # PgmError("non-numeric sample")
-def test_read_pgm_matches_the_byte_at_a_time_oracle(data):
+def test_open_pgm_matches_the_byte_at_a_time_oracle(tmp_path, data):
     # the same image, or the same error class and message
-    assert _parse_outcome(read_pgm, data) == _parse_outcome(_oracle_read_pgm, data)
+    path = tmp_path / "in.pgm"
+    assert _parse_outcome(lambda d: _read(path, d), data) == _parse_outcome(oracles.read_pgm, data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_p2_pixels_of_a_body_cut_anywhere_match_the_oracle(data):
+    width, height = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    head = b"P2 %d %d 255\n" % (width, height)
+    body = _p2_body(data.draw, width * height)
+    if data.draw(st.booleans()):  # an ending that cuts a token or a comment
+        body += data.draw(st.sampled_from([b"7", b"#", b"#a"]))
+    expected = _parse_outcome(oracles.read_pgm, head + body)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(body)), max_size=4)))
+    drawn = [body[i:j] for i, j in zip([0, *cuts], [*cuts, len(body)])]
+    each_byte = [body[i : i + 1] for i in range(len(body))]
+    for pieces in (drawn, each_byte):
+        try:
+            outcome = (height, width), b"".join(imagekit._p2_pixels(iter(pieces), width * height))
+        except PgmError as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == expected, pieces
 
 
 # --- generators ---------------------------------------------------------------
