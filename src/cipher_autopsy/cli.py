@@ -180,7 +180,8 @@ def _report_images(seed: int):
         for entry in sorted(pgms, key=lambda e: e.name):
             with contextlib.suppress(OSError, imagekit.PgmError):
                 if entry.is_file():  # not a FIFO: opening one waits for a writer
-                    named.append((os.path.splitext(entry.name)[0], imagekit.load_pgm(entry.path)))
+                    with imagekit.open_pgm(entry.path) as src:  # ecchc_encrypt takes an image in memory
+                        named.append((os.path.splitext(entry.name)[0], src.image()))
                     continue
             _stderr_json({"warning": f"skipping fixture {entry.name}"})
     return named
@@ -296,8 +297,8 @@ def cmd_attack(args) -> int:
         return 0
 
     if args.attack == "ecb-scan":
-        cipher = imagekit.load_pgm(_require_arg(args, "enc"))
-        _emit(attacks.ecb_repeat_detector(cipher).to_json_dict(), args)
+        with imagekit.open_pgm(_require_arg(args, "enc")) as cipher:
+            _emit(attacks.ecb_repeat_detector(cipher).to_json_dict(), args)
         return 0
 
     # fixed-points

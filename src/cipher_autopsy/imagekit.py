@@ -11,9 +11,9 @@ PGM file opened with open_pgm (its header in the first PGM_READ bytes,
 write_pgm one chunk at a time: from the input itself if it is a regular
 P5 file, or else from a spool, an unlinked temporary file in TMPDIR that
 open_pgm, the one PGM reader, puts the pixels into (a P2 body parsed piece
-by piece) if the free space there holds them.  Each consumer names its
-chunk size: the cipher kernels MAP_CHUNK blocks (128 KiB), metrics 2^15
-pixels and the brute-dwc ranking half a MAP_CHUNK.
+by piece) if the free space there holds them.  Each command names its chunk
+size: the ciphers and ecb-scan MAP_CHUNK blocks (128 KiB), metrics 2^15
+pixels, brute-dwc half a MAP_CHUNK; only report's fixtures are read whole.
 Of the generators, gen_photo fills its raster in row bands of 2^14 pixels,
 so its float64 work is one band at any image size.
 """
@@ -46,7 +46,7 @@ class BadDimensionsError(ValueError):
 
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
 PGM_READ = 1 << 17  # bytes per open_pgm read; a header must end in the first
-_DIGITS = 4300  # the most a header number may have: int()'s default limit, whatever the interpreter's
+_DIGITS = 4300  # the most digits int() sees in a header number or a sample: its default limit
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +144,7 @@ def map_blocks(img: GrayImage, kernel: Kernel) -> GrayImage:
 _TOKEN = re.compile(
     rb"[ \t\n\r\x0b\x0c]*(?:#[^\n]*\n[ \t\n\r\x0b\x0c]*)*([^ \t\n\r\x0b\x0c#][^ \t\n\r\x0b\x0c]*)?"
 )
+_RUN = re.compile(rb"[^ \t\n\r\x0b\x0c]*")  # a P2 body's token, or the empty run at whitespace
 
 
 def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -190,11 +191,11 @@ def _p2_pixels(pieces: Iterable[bytes], n: int) -> Iterator[bytes]:
     """The first n samples of a P2 body, in pieces of at most PGM_READ
     bytes, as pixel bytes.  Each piece is parsed up to its last whitespace
     byte outside a comment, the rest carried into the next: a partial token
-    whole (up to PGM_READ bytes), an open comment as its '#' alone.  So a
-    sample longer than PGM_READ bytes is non-numeric, whatever int()'s
-    digit limit.  No piece is taken once n samples are in.  Errors come in
-    this order: too few samples, a non-numeric one among the first n, one
-    out of range."""
+    whole (up to PGM_READ bytes, else as b"x"), an open comment as its '#'
+    alone.  A sample of more than _DIGITS digits is non-numeric, whatever
+    int()'s digit limit: int() never sees one.  No piece is taken once n
+    samples are in.  Errors come in this order: too few samples, a
+    non-numeric one among the first n, one out of range."""
     got, error, carry = 0, None, b""
     for piece in chain(pieces, [None]):  # None: the end, where the carry is parsed whole
         data, carry = carry + (piece or b""), b""
@@ -205,9 +206,13 @@ def _p2_pixels(pieces: Iterable[bytes], n: int) -> Iterator[bytes]:
             token = data[cut:end] if end - cut <= PGM_READ else b"x"  # int() refuses "x" and what follows
             data, carry = data[:cut], token + data[end : end + 1]
         # a '#' starts a comment wherever it stands, and a CR or LF ends it
-        fields = re.sub(rb"#[^\r\n]*", b"", data).split()[: n - got]
-        if fields and len(fields[0]) > PGM_READ:  # only the first sample, begun in the carry, can be
-            fields[0] = b"x"
+        data = re.sub(rb"#[^\r\n]*", b"", data)
+        fields = data.split()[: n - got]
+        # a token longer than _DIGITS covers one offset in each _DIGITS + 1: those
+        # tokens are measured back from their ends, and digits counted as int() counts
+        ends = (_RUN.match(data, k).end() for k in range(_DIGITS, len(data), _DIGITS + 1))
+        if any(e > _DIGITS and _RUN.fullmatch(data, e - _DIGITS - 1, e) for e in ends):
+            fields = [f if len(f) - f.count(b"_") - (f[:1] in b"+-") <= _DIGITS else b"x" for f in fields]
         got += len(fields)
         try:
             pixels = bytes(map(int, fields))
@@ -311,12 +316,6 @@ def open_pgm(path) -> PgmSource:
         if isinstance(exc, PgmError):
             raise PgmError(f"{path}: {exc}") from None
         raise
-
-
-def load_pgm(path) -> GrayImage:
-    """The image of a PGM file; a PgmError's message starts with the path."""
-    with open_pgm(path) as src:
-        return src.image()
 
 
 def _keep_contents(path, flags: int) -> int:

@@ -1,10 +1,10 @@
 """Reference forms shared by several test files: the closed-form metric
 expectations of the calibration pairs, the full expansion of a Z/256 row
 coset, the Hill layer's 4x4 block matrix written out entry by entry and as
-hill_apply computes it, the whole-array Hill key solve, and a general
-run-length code; the PGM reader that reads a header one byte at a time;
-and the random Hill key and one-block encryption that several files draw
-their samples with."""
+hill_apply computes it, the whole-array Hill key solve, a general
+run-length code and the duplicate-block histogram of one np.unique; the
+PGM reader that reads a header one byte at a time; and the random Hill key
+and one-block encryption that several files draw their samples with."""
 
 import math
 import re
@@ -12,6 +12,7 @@ import re
 import numpy as np
 
 from cipher_autopsy.algebra import bytes_mod256, row_coset, two_smallest
+from cipher_autopsy.attacks import BlockHistogram
 from cipher_autopsy.ecchc import HillKey, expand_key, hill_apply
 from cipher_autopsy.imagekit import GrayImage, PgmError
 
@@ -117,6 +118,17 @@ def rle(mask) -> str:
     return ",".join(f"{flat[s]}:{n}" for s, n in zip(starts, lengths))
 
 
+def ecb_histogram(img: GrayImage) -> BlockHistogram:
+    """The duplicate-block histogram from np.unique over every block word at
+    once: the largest class is the first of the most frequent words in
+    ascending order, the smallest among ties."""
+    words = img.pixels.reshape(-1, 4).view("<u4").ravel()
+    values, counts = np.unique(words, return_counts=True)
+    top = int(np.argmax(counts))
+    block = tuple(int(values[top]).to_bytes(4, "little"))
+    return BlockHistogram(words.size, values.size, int(counts[top]), block)
+
+
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -173,6 +185,9 @@ def read_pgm(data):
         if len(fields) < n:
             raise PgmError(f"expected {n} samples, got {len(fields)}")
         try:
+            # int() never sees more than its default 4300 digits, sign and underscores not counted
+            if any(len(re.sub(rb"[^0-9]", b"", f)) > 4300 for f in fields[:n]):
+                raise ValueError("a sample past the digit limit")
             values = [int(f) for f in fields[:n]]
         except ValueError as exc:
             raise PgmError("non-numeric sample") from exc

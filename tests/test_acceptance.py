@@ -134,7 +134,8 @@ def test_06_photo_rows():
             stem = os.path.splitext(fname)[0].lower()
             if not fname.lower().endswith(".pgm"):
                 continue
-            img = imagekit.load_pgm(os.path.join(fixtures, fname))
+            with imagekit.open_pgm(os.path.join(fixtures, fname)) as src:
+                img = src.image()
             enc = dwc.dwc_encrypt(img, 0x9C)
             row = metrics.evaluate_pair(img, enc)
             ent = row.entropy_bits

@@ -3,9 +3,9 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import block_matrix, encrypt_block, random_key, solve_rows_mod256
+from oracles import block_matrix, ecb_histogram, encrypt_block, random_key, solve_rows_mod256
 
 from cipher_autopsy import attacks
 from cipher_autopsy.attacks import (
@@ -31,6 +31,8 @@ from cipher_autopsy.imagekit import (
     gen_drawing,
     gen_noise,
     gen_photo,
+    open_pgm,
+    save_pgm,
 )
 
 
@@ -576,6 +578,41 @@ def test_ecb_detector_dwc_checkerboard_all_distinct():
     hist = ecb_repeat_detector(enc)
     assert hist.distinct_blocks >= 16300
     assert hist.distinct_blocks == 16384
+
+
+@st.composite
+def _block_words(draw):
+    """Block words in a few classes of drawn sizes, shuffled: sorted, their
+    runs cross the edges of a small walk chunk, and classes often tie."""
+    classes = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=len(classes), max_size=len(classes)))
+    words = np.repeat(np.array(classes, dtype="<u4"), sizes)
+    return np.array(draw(st.permutations(words.tolist())), dtype="<u4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_block_words(), tall=st.booleans())
+@example(words=np.array([7], dtype="<u4"), tall=False)  # one block
+@example(words=np.array([9, 3], dtype="<u4"), tall=True)  # two blocks
+@example(words=np.array([5] * 15, dtype="<u4"), tall=False)  # all equal
+@example(words=np.array([4, 8, 8, 4, 2], dtype="<u4"), tall=True)  # a tie: the smaller word
+def test_ecb_detector_walk_of_any_chunk_size_is_the_np_unique_histogram(words, tall):
+    pixels = words.view(np.uint8).reshape(-1, 4) if tall else words.view(np.uint8).reshape(1, -1)
+    img = GrayImage(pixels)
+    expected = ecb_histogram(img)
+    for chunk in (1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attacks, "MAP_CHUNK", chunk)
+            assert ecb_repeat_detector(img) == expected, chunk
+
+
+def test_ecb_detector_of_a_pgm_file_is_the_histogram_of_its_image(tmp_path, monkeypatch):
+    # 1,000 blocks read 28 pixels at a time into the reused buffer
+    monkeypatch.setattr(attacks, "MAP_CHUNK", 7)
+    img = GrayImage(np.random.default_rng(68).integers(0, 4, (40, 100), dtype=np.uint8))
+    save_pgm(img, tmp_path / "in.pgm")
+    with open_pgm(tmp_path / "in.pgm") as src:
+        assert ecb_repeat_detector(src) == ecb_histogram(img)
 
 
 def test_attack_outcome_json_shape():

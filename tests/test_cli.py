@@ -33,7 +33,7 @@ from cipher_autopsy.imagekit import (
     gen_constant,
     gen_noise,
     gen_photo,
-    load_pgm,
+    open_pgm,
     save_pgm,
     PgmError,
 )
@@ -55,7 +55,8 @@ def run_json(capsys, *argv):
 def test_gen_checkerboard(tmp_path, capsys):
     out = tmp_path / "cb.pgm"
     assert run_cli("gen", "checkerboard", "--out", str(out)) == 0
-    assert load_pgm(out) == gen_checkerboard()
+    with open_pgm(out) as src:
+        assert src.image() == gen_checkerboard()
 
 
 def test_gen_bad_cell(tmp_path, capsys):
@@ -70,7 +71,8 @@ def test_gen_bad_cell(tmp_path, capsys):
 def test_gen_kinds(tmp_path, kind):
     out = tmp_path / f"{kind}.pgm"
     assert run_cli("gen", kind, "--seed", "4", "--out", str(out)) == 0
-    img = load_pgm(out)
+    with open_pgm(out) as src:
+        img = src.image()
     assert img.width == img.height == 256
 
 
@@ -95,7 +97,8 @@ def test_encrypt_checkerboard_ecchc_identity(tmp_path):
     enc = tmp_path / "cb_enc.pgm"
     save_pgm(gen_checkerboard(), plain)
     run_cli("encrypt", "--alg", "ecchc", "--key", "a1b2c3d4", "--in", str(plain), "--out", str(enc))
-    assert load_pgm(enc) == gen_checkerboard()
+    with open_pgm(enc) as src:
+        assert src.image() == gen_checkerboard()
 
 
 def test_encrypt_bad_key_exit_code(tmp_path, capsys):
@@ -460,7 +463,8 @@ def test_attack_dwc_partial(tmp_path, capsys):
     assert code == 0
     assert doc["recovered_bytes_percent"] == 75.0
     assert doc["recovered_mask_rle"].startswith("0:1,1:3,")
-    recovered = load_pgm(rec)
+    with open_pgm(rec) as src:
+        recovered = src.image()
     assert np.array_equal(blocks_of(recovered)[:, 1:], blocks_of(img)[:, 1:])
 
 
@@ -673,7 +677,8 @@ def test_an_endless_p2_pipe_is_read_to_its_last_sample(tmp_path):
     proc = _run_child_on_a_fifo(path, chain([b"P2\n2 2\n255\n"], repeat(b"1 " * (1 << 15))), *argv)
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-    assert load_pgm(out) == dwc_encrypt(gen_constant(1, 2, 2), 0x5F)
+    with open_pgm(out) as src:
+        assert src.image() == dwc_encrypt(gen_constant(1, 2, 2), 0x5F)
 
 
 @pytest.mark.parametrize("start, filler, got", [(b"#", b"a", 0), (b"", b"9", 1)], ids=["comment", "sample"])
@@ -697,6 +702,26 @@ def test_a_p2_sample_longer_than_a_read_is_non_numeric_whatever_the_digit_limit(
         assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, ""), limit
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["message"] == f"{path}: non-numeric sample", limit
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (b"9" * 4300, "sample out of range for maxval 255"),
+        (b"9" * 4301, "non-numeric sample"),
+        (b"+" + b"9" * 4300, "sample out of range for maxval 255"),
+    ],
+    ids=["4300-digits", "4301-digits", "plus-4300-digits"],
+)
+def test_a_p2_sample_is_read_by_its_digits_whatever_the_digit_limit(tmp_path, sample, message):
+    # int() counts digits without the sign; past its default 4300 a sample is non-numeric
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n7 " + sample + b" 7 7\n")
+    for limit in ("4300", "0"):
+        proc = run_child("metrics", "--in", str(path), "--enc", str(path), PYTHONINTMAXSTRDIGITS=limit)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, ""), limit
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["message"] == f"{path}: {message}", limit
 
 
 def test_kpa_line_at_the_cap_is_exit_3(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """The CLI's P5 stream.
 
-encrypt, decrypt, metrics and the attacks brute-hill, brute-dwc and
-dwc-partial read a large P5 file one chunk at a time; the image outputs
-rewrite an existing file in place, then trim it.  The output bytes, exit
-codes and messages are those of the whole-image library path; an error
+encrypt, decrypt, metrics and the attacks brute-hill, brute-dwc,
+dwc-partial and ecb-scan read a large P5 file one chunk at a time; the image
+outputs rewrite an existing file in place, then trim it.  The output bytes,
+exit codes and messages are those of the whole-image library path; an error
 raised before the first write leaves an existing output untouched; and the
-memory a command takes does not grow with the image.
+memory a command takes does not grow with the image, save ecb-scan's sorted
+block words, 1x the pixels.
 """
 
 import contextlib
@@ -28,7 +29,6 @@ from cipher_autopsy.imagekit import (
     GrayImage,
     PgmError,
     gen_photo,
-    load_pgm,
     open_pgm,
     save_pgm,
 )
@@ -221,7 +221,8 @@ def test_chunks_and_image_are_the_pixels_read_pgm_reads(tmp_path, shape, header)
         # a streamed chunk is valid until the next one: copy each
         assert np.array_equal(np.concatenate([c.copy() for c in src.chunks()]), img.pixels.ravel())
         assert src.image() == read_pgm(path.read_bytes()) == img
-    assert load_pgm(path) == img
+    with open_pgm(path) as src:
+        assert src.image() == img
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (402, 1000)])
@@ -386,8 +387,13 @@ def test_a_maxval_token_cut_by_the_first_read_is_read_whole(tmp_path):
         open_pgm(path)
 
 
+def _image_of(path):
+    with open_pgm(path) as src:
+        return src.image()
+
+
 def _image_through_a_fifo(path, data):
-    """open_pgm(path).image() while a writer sends data into a FIFO at path,
+    """_image_of(path) while a writer sends data into a FIFO at path,
     all but its last byte, then that byte after a 0.1 s pause."""
     os.mkfifo(path)
 
@@ -400,8 +406,7 @@ def _image_through_a_fifo(path, data):
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        with open_pgm(path) as src:
-            return src.image()
+        return _image_of(path)
     finally:
         os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting to open ends
         writer.join()
@@ -423,7 +428,7 @@ def test_a_file_and_a_pipe_read_a_header_by_one_rule(tmp_path, length, maxval):
         expected = "truncated header"
     file = tmp_path / "in.pgm"
     file.write_bytes(data)
-    opens = {file: load_pgm, tmp_path / "fifo": lambda path: _image_through_a_fifo(path, data)}
+    opens = {file: _image_of, tmp_path / "fifo": lambda path: _image_through_a_fifo(path, data)}
     for path, open_image in opens.items():
         if isinstance(expected, str):
             with pytest.raises(PgmError, match=f"^{re.escape(f'{path}: {expected}')}$"):
@@ -537,26 +542,19 @@ def _second_call_peak(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", list(COMMANDS_2048))
-def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, name):
-    paths = {"out": tmp_path / "out.pgm"}
-    for key, data in _inputs_2048().items():
-        paths[key] = tmp_path / f"{key}.pgm"
-        paths[key].write_bytes(data)
-    argv = [arg.format(**paths) for arg in COMMANDS_2048[name]]
-    peak = _second_call_peak(lambda: cli.main(argv))
-    capsys.readouterr()
-    assert peak < 1 << 20
-
-
-@pytest.mark.parametrize("name", ["encrypt-ecchc", "metrics", "brute-hill"])
-def test_a_2048_square_command_on_fifos_peaks_under_1_mib(tmp_path, capsys, name):
+def _peak_2048(tmp_path, template, fifo=False):
+    """The second-call traced peak of the command template on the 2048²
+    inputs, read from regular files or, with fifo, from FIFOs that writer
+    threads feed anew for each call."""
     inputs, paths = _inputs_2048(), {"out": tmp_path / "out.pgm"}
-    for key in inputs:
-        paths[key] = tmp_path / key
-        os.mkfifo(paths[key])
-    argv = [arg.format(**paths) for arg in COMMANDS_2048[name]]
-    feeds = {paths[key]: data for key, data in inputs.items() if str(paths[key]) in argv}
+    for key, data in inputs.items():
+        paths[key] = tmp_path / (key if fifo else f"{key}.pgm")
+        if fifo:
+            os.mkfifo(paths[key])
+        else:
+            paths[key].write_bytes(data)
+    argv = [arg.format(**paths) for arg in template]
+    feeds = {paths[key]: data for key, data in inputs.items() if fifo and str(paths[key]) in argv}
 
     def write(path, data):
         with contextlib.suppress(BrokenPipeError):
@@ -574,9 +572,24 @@ def test_a_2048_square_command_on_fifos_peaks_under_1_mib(tmp_path, capsys, name
             for writer in writers:
                 writer.join()
 
-    peak = _second_call_peak(run)
-    capsys.readouterr()
-    assert peak < 1 << 20
+    return _second_call_peak(run)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS_2048))
+def test_a_2048_square_command_peaks_under_1_mib(tmp_path, capsys, name):
+    assert _peak_2048(tmp_path, COMMANDS_2048[name]) < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["encrypt-ecchc", "metrics", "brute-hill"])
+def test_a_2048_square_command_on_fifos_peaks_under_1_mib(tmp_path, capsys, name):
+    assert _peak_2048(tmp_path, COMMANDS_2048[name], fifo=True) < 1 << 20
+
+
+@pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+def test_a_2048_square_ecb_scan_peaks_under_1_5x_the_pixels(tmp_path, capsys, fifo):
+    # the sorted block words, 1x the pixels, are its one image-sized array
+    peak = _peak_2048(tmp_path, ["attack", "ecb-scan", "--enc", "{plain}"], fifo)
+    assert peak <= 3 * 2048 * 2048 // 2
 
 
 def test_a_2048_square_file_whose_maxval_the_first_read_cuts_streams_under_1_mib(tmp_path):

@@ -19,7 +19,7 @@ from cipher_autopsy.imagekit import (
     gen_checkerboard,
     gen_constant,
     gen_noise,
-    load_pgm,
+    open_pgm,
     save_pgm,
 )
 
@@ -144,7 +144,8 @@ def test_decrypt_is_encrypt(tmp_path):
     for verb, out in outs.items():
         assert cli.main([verb, "--alg", "ecchc", "--key", "0904c821", "--in", str(src), "--out", str(out)]) == 0
     assert outs["decrypt"].read_bytes() == outs["encrypt"].read_bytes()
-    assert load_pgm(outs["encrypt"]) == ecchc_encrypt(gen_noise(16), expand_key(((9, 4), (200, 33))))
+    with open_pgm(outs["encrypt"]) as enc:
+        assert enc.image() == ecchc_encrypt(gen_noise(16), expand_key(((9, 4), (200, 33))))
 
 
 def test_double_encrypt_is_identity():

@@ -1,3 +1,5 @@
+import contextlib
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from cipher_autopsy import imagekit
 from cipher_autopsy.imagekit import (
     MAP_CHUNK,
+    PGM_READ,
     BadDimensionsError,
     GrayImage,
     PgmError,
@@ -21,7 +24,6 @@ from cipher_autopsy.imagekit import (
     gen_drawing,
     gen_noise,
     gen_photo,
-    load_pgm,
     map_blocks,
     map_chunks,
     open_pgm,
@@ -163,7 +165,8 @@ def test_save_pgm_writes_the_bytes_of_write_pgm(tmp_path):
     path = tmp_path / "img.pgm"
     save_pgm(img, path)
     assert path.read_bytes() == b"P5\n7 5\n255\n" + img.tobytes()
-    assert load_pgm(path) == img
+    with open_pgm(path) as src:
+        assert src.image() == img
 
 
 def test_pgm_accepts_the_forms_int_accepts(tmp_path):
@@ -262,6 +265,55 @@ def test_open_pgm_matches_the_byte_at_a_time_oracle(tmp_path, data):
     assert _parse_outcome(lambda d: _read(path, d), data) == _parse_outcome(oracles.read_pgm, data)
 
 
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _p2_samples(*samples):
+    return b"P2 %d 1 255\n" % len(samples) + b" ".join(samples) + b"\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _p2_samples(b"9" * 4300),
+        _p2_samples(b"9" * 4301),
+        _p2_samples(b"+" + b"9" * 4300),
+        _p2_samples(b"-" + b"0" * 4301),
+        _p2_samples(b"9_" * 4299 + b"9"),
+        _p2_samples(b"9_" * 4300 + b"9"),
+        _p2_samples(b"00" * 4000, b"1"),
+        _p2_samples(*[b"7"] * ((PGM_READ - 3000) // 2), b"1" * 4301, b"7"),
+        _p2_samples(*[b"7"] * ((PGM_READ - 3000) // 2), b"1" * 4300, b"7"),
+        _p2_samples(b"7", b"9" * (PGM_READ + 10)),
+    ],
+    ids=["4300", "4301", "plus-4300", "minus-4301-zeros", "underscored-4300", "underscored-4301",
+         "8000-zeros", "4301-across-a-read", "4300-across-a-read", "longer-than-a-read"],
+)
+@pytest.mark.parametrize("limit", [4300, 0], ids=["limit-4300", "limit-off"])
+def test_a_p2_sample_past_4300_digits_is_non_numeric_whatever_the_digit_limit(tmp_path, data, limit):
+    # int() counts digits without the sign and underscores; the oracle
+    # counts them in the samples it splits out
+    with _int_digit_limit(limit):
+        assert _parse_outcome(lambda d: _read(tmp_path / "in.pgm", d), data) == _parse_outcome(oracles.read_pgm, data)
+
+
+def test_long_p2_samples_are_refused_at_once_with_the_digit_limit_off(tmp_path):
+    # int() took about 0.2 s over each of these with its limit off
+    data = _p2_samples(*[b"9" * 131_000] * 20)
+    with _int_digit_limit(0):
+        start = time.perf_counter()
+        with pytest.raises(PgmError, match="^non-numeric sample$"):
+            _read(tmp_path / "in.pgm", data)
+        assert time.perf_counter() - start < 1
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_p2_pixels_of_a_body_cut_anywhere_match_the_oracle(data):
@@ -336,11 +388,11 @@ def test_drawing_at_18_pixels():
     assert img == gen_drawing(5, 18, 18)
 
 
-def test_load_pgm_error_starts_with_the_path(tmp_path):
+def test_open_pgm_error_starts_with_the_path(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(PgmError, match="expected 16 pixels, got 3") as exc:
-        load_pgm(path)
+        open_pgm(path)
     assert str(exc.value).startswith(f"{path}: ")
 
 

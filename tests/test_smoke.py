@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 # the fenced block after "Typical table (seed 1):" in the README
 README_TABLE = (ROOT / "README.md").read_text().split("Typical table (seed 1):", 1)[1].split("```\n")[1]
+# scripts/run_attacks.py's stdout, each timing masked as "<t> ms"
+RUN_ATTACKS_OUT = (ROOT / "tests" / "run_attacks.out").read_text()
 
 
 def run(*argv):
@@ -53,3 +56,5 @@ def test_demo_script_runs(script):
     assert proc.stdout
     if "report" in script:
         assert proc.stdout == README_TABLE
+    if script[0].endswith("run_attacks.py"):
+        assert re.sub(r"[0-9.]+ ms\b", "<t> ms", proc.stdout) == RUN_ATTACKS_OUT
