@@ -22,6 +22,12 @@ matrix).  The tables come from the field's log/antilog tables
 (algebra.GF_MUL, algebra.GF_INV), each stage's on its first use.
 Encryption and decryption are chunk kernels for imagekit.map_chunks,
 which feeds them one cache-sized chunk of blocks at a time.
+
+The counter masks are a table too.  Below 2^24 a counter i = hi << 16 | lo
+masks its block with L[lo] ^ (hi << 8) ^ k, where L is one key-independent
+65,536-word table (256 KiB, built on first use): a chunk's masks are a
+slice of L and one scalar per run of counters sharing hi, XORed in place
+into the chunk.
 """
 
 from __future__ import annotations
@@ -122,32 +128,50 @@ def _check_counter(img, key: int) -> None:
         raise BadDimensionsError("block counter would collide with the key byte")
 
 
-def _masks(start: int, stop: int, key: int) -> np.ndarray:
-    """The counter masks of blocks start+1 .. stop (counters are 1-based).
+@functools.cache
+def _low_masks() -> np.ndarray:
+    """L[lo] = byteswap(lo) ^ (lo & 0xFF) for lo < 2^16, read-only '<u4':
+    lsb(lo) in bytes 0 and 3, byte 1 of lo in byte 2."""
+    table = np.zeros((256, 256, 4), dtype=np.uint8)
+    table[..., 0] = table[..., 3] = np.arange(256)
+    table[..., 2] = np.arange(256)[:, None]
+    table.flags.writeable = False
+    return table.view("<u4").reshape(-1)
+
+
+def _mask(blocks: np.ndarray, start: int, key: int) -> np.ndarray:
+    """XOR the counter masks of blocks start+1 .. start+n (counters are
+    1-based) into a C-contiguous (n, 4) uint8 array, in place; returns it.
 
     Block counts stay below 2^24 (_check_counter), so byte 0 of the mask
     is exactly key ^ lsb(i) and bytes 1..3 are the low three bytes of i:
-    as a little-endian word that is byteswap(i) ^ lsb(i) ^ key.
+    as a little-endian word that is byteswap(i) ^ lsb(i) ^ key, which is
+    L[lo] ^ (hi << 8) ^ key for i = hi << 16 | lo.
     """
-    i = np.arange(start + 1, stop + 1, dtype=np.uint32)
-    masks = i.byteswap()
-    masks ^= i & np.uint32(0xFF)
-    masks ^= np.uint32(key)
-    return masks.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
+    words, low = blocks.view("<u4").reshape(-1), _low_masks()
+    done = 0
+    while done < len(words):
+        hi, lo = divmod(start + 1 + done, 1 << 16)
+        run = words[done : done + (1 << 16) - lo]
+        run ^= low[lo : lo + len(run)]
+        run ^= np.uint32((hi << 8) ^ key)
+        done += len(run)
+    return blocks
 
 
 def dwc_encrypt_kernel(img, key: int) -> Kernel:
     """The map_chunks kernel that encrypts a GrayImage or PgmSource:
-    counter-mask each block, then apply the core transform."""
+    counter-mask a copy of each block (the chunk may be a read-only image
+    or the reader's buffer), then apply the core transform."""
     _check_counter(img, key)
-    return lambda b, s: core_transform_blocks(b ^ _masks(s, s + len(b), key))
+    return lambda b, s: core_transform_blocks(_mask(b.copy(), s, key))
 
 
 def dwc_decrypt_kernel(img, key: int) -> Kernel:
     """The map_chunks kernel that decrypts a GrayImage or PgmSource:
-    invert the core transform, then strip the counter mask."""
+    invert the core transform, then strip the counter mask in place."""
     _check_counter(img, key)
-    return lambda b, s: core_inverse_blocks(b) ^ _masks(s, s + len(b), key)
+    return lambda b, s: _mask(core_inverse_blocks(b), s, key)
 
 
 def dwc_encrypt(img: GrayImage, key: int) -> GrayImage:

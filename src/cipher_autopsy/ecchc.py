@@ -15,10 +15,22 @@ has K d = d and K d = -d, so d lies in {0, 128}^2, and then it is fixed
 exactly when (K - I) d = 0.  hill_apply is the one statement of the layer,
 in this form; the 4x4 matrix is never stored.  The attack module leans on
 all four facts.
+
+The streamed kernel (ecchc_kernel) runs the same form as a table gather,
+in the T-table style of Daemen and Rijmen (The Design of Rijndael, 2002,
+sec. 4.2).  K d depends only on d = (d0, d1), so one 65,536-word table
+(256 KiB), read off hill_apply of the 512 single-difference blocks, holds
+[K d, K d] at d0 | d1 << 8.  Each block then costs one gather and a
+bytewise add of its halves swapped.  The table is built when a key's
+kernel is made, and the last key's table is kept, so one process holds
+one however many keys it meets.  Keygen, the census and the tests call
+hill_apply directly: on a few hundred blocks the build would cost more
+than it saves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +85,42 @@ def hill_apply(blocks: np.ndarray, k: Mat2) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _difference_table(k: Mat2) -> np.ndarray:
+    """The read-only '<u4' word [K d, K d] at d0 | d1 << 8, bytes 0 and 1
+    K d and bytes 2 and 3 again.  K d is linear in d, so row d1 is
+    K (0, d1) plus K (d0, 0) bytewise, both read off hill_apply: a block
+    (d0, d1, 0, 0) has c_top = K d.  Both steps write into the table."""
+    single = np.zeros((512, 4), dtype=np.uint8)
+    single[:256, 0] = single[256:, 1] = np.arange(256)
+    kd = hill_apply(single, k)
+    kd[:, 2:] = kd[:, :2]
+    table = np.empty((256, 256), dtype="<u4")
+    table[:] = kd[256:].view("<u4")
+    table.view(np.uint8).reshape(256, 1024)[:] += kd[:256].reshape(1, 1024)
+    table.flags.writeable = False
+    return table.reshape(-1)
+
+
+def _hill_chunk(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """hill_apply of an (n, 4) uint8 array through its key's difference
+    table: c = (p_bot, p_top) + [K d, K d], added bytewise."""
+    flat = np.ascontiguousarray(blocks).reshape(-1)
+    d = np.empty(flat.size, dtype=np.uint8)
+    np.subtract(flat[:-2], flat[2:], out=d[:-2])  # bytes 4i and 4i+1 are block i's d0, d1
+    index = d.view("<u2")[::2]
+    words = np.empty(len(index), dtype="<u4")
+    half = len(words) // 2  # np.take copies its index to intp: half a chunk's at a time
+    for part in (slice(None, half), slice(half, None)):
+        np.take(table, index[part], out=words[part], mode="wrap")
+    out, p, swapped = words.view(np.uint8), flat.view("<u4"), d.view("<u4")
+    np.left_shift(p, 16, out=swapped)  # p_top into bytes 2 and 3
+    out += d
+    np.right_shift(p, 16, out=swapped)  # p_bot into bytes 0 and 1
+    out += d
+    return out.reshape(-1, 4)
+
+
 def ecchc_kernel(img, key: HillKey) -> Kernel:
     """The map_chunks kernel that encrypts (and decrypts: the same
     multiply) a GrayImage or PgmSource; both dimensions must be even."""
@@ -80,7 +128,8 @@ def ecchc_kernel(img, key: HillKey) -> Kernel:
         raise BadDimensionsError(
             f"{img.width}x{img.height}: both dimensions must be even"
         )
-    return lambda blocks, _: hill_apply(blocks, key.k)
+    table = _difference_table(key.k)
+    return lambda blocks, _: _hill_chunk(blocks, table)
 
 
 def ecchc_encrypt(img: GrayImage, key: HillKey) -> GrayImage:

@@ -46,7 +46,9 @@ class BadDimensionsError(ValueError):
 
 MAP_CHUNK = 1 << 15  # blocks per kernel call: 128 KiB, so temporaries stay in L2
 PGM_READ = 1 << 17  # bytes per open_pgm read; a header must end in the first
-_DIGITS = 4300  # the most digits int() sees in a header number or a sample: its default limit
+_DIGITS = 4300  # the most digits a header number or a sample may have: int()'s default limit
+_SAFE = 640  # the lowest digit limit int() takes: this many digits it reads, and writes, at any setting
+_INT = re.compile(rb"[+-]?[0-9](?:_?[0-9])*")  # what int() reads in base 10 from a P2 field
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +176,38 @@ def _read_header(data: bytes) -> tuple[bytes, int, int, int]:
     tokens, offset = _header_tokens(data, 4)
     if not all(t.isdigit() and len(t) <= _DIGITS for t in tokens[1:4]):  # ASCII digits only
         raise PgmError("non-numeric header field")
-    width, height, maxval = (int(t) for t in tokens[1:4])
-    if width <= 0 or height <= 0:
+    # compared by their significant digits, so int() reads at most _SAFE
+    # digits and the size's messages write at most _SAFE, whatever its limit
+    width, height, maxval = (t.lstrip(b"0") for t in tokens[1:4])
+    if not width or not height:
         raise PgmError("non-positive dimensions")
-    if maxval != 255:
-        raise PgmError(f"maxval {maxval} unsupported, need 255")
-    return tokens[0], width, height, offset
+    if maxval != b"255":
+        raise PgmError(f"maxval {maxval.decode() or 0} unsupported, need 255")
+    if len(width) + len(height) > _SAFE:
+        raise PgmError(
+            f"dimensions of {len(width)} and {len(height)} digits: at least 10^{_SAFE - 1} pixels declared"
+        )
+    return tokens[0], int(width), int(height), offset
 
 
 def _check_payload(n: int, got: int) -> None:
     if got < n:
         raise PgmError(f"expected {n} pixels, got {max(0, got)}")
+
+
+def _short_sample(field: bytes) -> bytes:
+    """A field of at most 4 bytes that int() reads as it reads `field`
+    under its default limit: b"x" where it raises (not a number, or more
+    than _DIGITS digits, counted without sign and underscores), else its
+    minus sign and significant digits, or b"256" for any value past 3 digits."""
+    if not _INT.fullmatch(field):
+        return b"x"
+    digits = field.lstrip(b"+-").replace(b"_", b"")
+    if len(digits) > _DIGITS:
+        return b"x"
+    significant = digits.lstrip(b"0")
+    sign = b"-" if field.startswith(b"-") else b""
+    return b"256" if len(significant) > 3 else sign + (significant or b"0")
 
 
 def _p2_pixels(pieces: Iterable[bytes], n: int) -> Iterator[bytes]:
@@ -193,7 +216,8 @@ def _p2_pixels(pieces: Iterable[bytes], n: int) -> Iterator[bytes]:
     byte outside a comment, the rest carried into the next: a partial token
     whole (up to PGM_READ bytes, else as b"x"), an open comment as its '#'
     alone.  A sample of more than _DIGITS digits is non-numeric, whatever
-    int()'s digit limit: int() never sees one.  No piece is taken once n
+    int()'s digit limit: int() sees no sample of more than _SAFE bytes,
+    but the short form of its value (_short_sample).  No piece is taken once n
     samples are in.  Errors come in this order: too few samples, a
     non-numeric one among the first n, one out of range."""
     got, error, carry = 0, None, b""
@@ -208,11 +232,11 @@ def _p2_pixels(pieces: Iterable[bytes], n: int) -> Iterator[bytes]:
         # a '#' starts a comment wherever it stands, and a CR or LF ends it
         data = re.sub(rb"#[^\r\n]*", b"", data)
         fields = data.split()[: n - got]
-        # a token longer than _DIGITS covers one offset in each _DIGITS + 1: those
-        # tokens are measured back from their ends, and digits counted as int() counts
-        ends = (_RUN.match(data, k).end() for k in range(_DIGITS, len(data), _DIGITS + 1))
-        if any(e > _DIGITS and _RUN.fullmatch(data, e - _DIGITS - 1, e) for e in ends):
-            fields = [f if len(f) - f.count(b"_") - (f[:1] in b"+-") <= _DIGITS else b"x" for f in fields]
+        # a token longer than _SAFE covers one offset in each _SAFE + 1: those
+        # tokens are measured back from their ends
+        ends = (_RUN.match(data, k).end() for k in range(_SAFE, len(data), _SAFE + 1))
+        if any(e > _SAFE and _RUN.fullmatch(data, e - _SAFE - 1, e) for e in ends):
+            fields = [f if len(f) <= _SAFE else _short_sample(f) for f in fields]
         got += len(fields)
         try:
             pixels = bytes(map(int, fields))

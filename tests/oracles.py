@@ -3,11 +3,14 @@ expectations of the calibration pairs, the full expansion of a Z/256 row
 coset, the Hill layer's 4x4 block matrix written out entry by entry and as
 hill_apply computes it, the whole-array Hill key solve, a general
 run-length code and the duplicate-block histogram of one np.unique; the
-PGM reader that reads a header one byte at a time; and the random Hill key
-and one-block encryption that several files draw their samples with."""
+PGM reader that reads a header one byte at a time, and the setting of
+int()'s digit limit it runs under; and the random Hill key and one-block
+encryption that several files draw their samples with."""
 
+import contextlib
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -157,11 +160,28 @@ def header_tokens(data, count):
     return tokens, pos
 
 
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """int()'s digit limit set to `limit` (0: off) for the block's length."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def read_pgm(data):
     """The image of the PGM bytes in data, or the PgmError that open_pgm
     gives for a file of them, less its path prefix, if open_pgm reads the
     header whole.  The header is read by header_tokens, and a P2 body is
-    parsed whole, its comments cut line by line."""
+    parsed whole, its comments cut line by line.  int() runs with its digit
+    limit off: the outcome is the default setting's, whatever the setting."""
+    with int_digit_limit(0):
+        return _read_pgm(data)
+
+
+def _read_pgm(data):
     magic, _ = header_tokens(data, 1)
     if magic[0] not in (b"P5", b"P2"):
         raise PgmError(f"not a PGM: magic {magic[0][:16]!r}")
@@ -173,6 +193,9 @@ def read_pgm(data):
         raise PgmError("non-positive dimensions")
     if maxval != 255:
         raise PgmError(f"maxval {maxval} unsupported, need 255")
+    digits = len(str(width)), len(str(height))
+    if sum(digits) > 640:
+        raise PgmError("dimensions of %d and %d digits: at least 10^639 pixels declared" % digits)
     n = width * height
     if tokens[0] == b"P5":
         got = max(0, len(data) - offset)

@@ -669,6 +669,62 @@ def test_a_header_number_past_the_default_digit_limit_is_exit_3_with_the_limit_o
     assert len(line) < 512
 
 
+_HUGE = b"P5\n" + b"9" * 3000 + b" " + b"9" * 3000 + b"\n255\n" + bytes(4)  # 6,000 digits of pixels
+_HUGE_MESSAGE = "dimensions of 3000 and 3000 digits: at least 10^639 pixels declared"
+
+
+@pytest.mark.parametrize(
+    "argv", [["metrics", "--in", "{path}", "--enc", "{path}"], ["attack", "ecb-scan", "--enc", "{path}"]], ids=["metrics", "ecb-scan"]
+)
+@pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+def test_a_size_past_the_digit_limit_is_one_exit_3_line(tmp_path, argv, fifo):
+    # the payload check (a file) and the spool refusal (a FIFO) once wrote
+    # the size into their messages, and int() refused its 6,000 digits: exit 2
+    path = tmp_path / ("fifo" if fifo else "huge.pgm")
+    argv = [a.format(path=path) for a in argv]
+    if fifo:
+        proc = _run_child_on_a_fifo(path, [_HUGE], *argv)
+    else:
+        path.write_bytes(_HUGE)
+        proc = run_child(*argv)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, "")
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == f"{path}: {_HUGE_MESSAGE}"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n2 2\n" + b"0" * 997 + b"255\n" + bytes(4), None),
+        (b"P5\n2 2\n" + b"0" * 997 + b"256\n" + bytes(4), "maxval 256 unsupported, need 255"),
+        (b"P5\n" + b"0" * 1000 + b"2 2\n255\n" + bytes(4), None),
+        (b"P5\n1 " + b"1" * 639 + b"\n255\n" + bytes(4), f"expected {int('1' * 639)} pixels, got 4"),
+        (b"P5\n10 " + b"1" * 639 + b"\n255\n" + bytes(4), "dimensions of 2 and 639 digits: at least 10^639 pixels declared"),
+        (b"P2\n2 2\n255\n7 " + b"9" * 1000 + b" 7 7\n", "sample out of range for maxval 255"),
+        (b"P2\n2 2\n255\n7 " + b"0" * 1000 + b"9 7 7\n", None),
+        (b"P2\n2 2\n255\n7 -" + b"0_" * 700 + b"0 7 7\n", None),
+        (b"P2\n2 2\n255\n7 -" + b"0" * 1000 + b"5 7 7\n", "sample out of range for maxval 255"),
+        (b"P2\n2 2\n255\n7 " + b"9" * 1000 + b"_ 7 7\n", "non-numeric sample"),
+    ],
+    ids=["zero-padded-maxval", "zero-padded-bad-maxval", "zero-padded-width", "639-digit-height",
+         "640-digits-of-size", "1000-digit-sample", "zero-padded-sample", "underscored-minus-zero", "zero-padded-negative",
+         "bad-long-sample"],
+)
+def test_header_numbers_and_samples_are_read_alike_at_every_digit_limit(tmp_path, data, message):
+    # numbers are read by their significant digits, so int() never meets more
+    # digits than its lowest limit, 640, lets it read or write
+    path = tmp_path / "in.pgm"
+    path.write_bytes(data)
+    for limit in ("4300", "640", "0"):
+        proc = run_child("attack", "ecb-scan", "--enc", str(path), PYTHONINTMAXSTRDIGITS=limit)
+        if message is None:
+            assert (proc.returncode, proc.stderr) == (0, ""), limit
+        else:
+            assert (proc.returncode, proc.stdout) == (cli.EXIT_FILE, ""), limit
+            (line,) = proc.stderr.splitlines()
+            assert json.loads(line)["message"] == f"{path}: {message}", limit
+
+
 def test_an_endless_p2_pipe_is_read_to_its_last_sample(tmp_path):
     # 4 samples declared, then "1 " without end: nothing is read past the 4th
     path, out = tmp_path / "fifo", tmp_path / "out.pgm"

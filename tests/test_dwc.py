@@ -16,7 +16,9 @@ from cipher_autopsy.dwc import (
     core_inverse_blocks,
     core_transform_blocks,
     dwc_decrypt,
+    dwc_decrypt_kernel,
     dwc_encrypt,
+    dwc_encrypt_kernel,
 )
 from cipher_autopsy.imagekit import (
     MAP_CHUNK,
@@ -26,6 +28,7 @@ from cipher_autopsy.imagekit import (
     gen_checkerboard,
     gen_constant,
     gen_noise,
+    map_chunks,
 )
 
 byte = st.integers(0, 255)
@@ -318,9 +321,9 @@ def test_counter_mask_rejects_bad_key():
         counter_masks(4, 256)
 
 
-def _oracle_counter_masks(n, key):
+def _oracle_counter_masks(n, key, start=0):
     # byte-stack form: key ^ lsb(i), then the low three bytes of i, high first
-    i = np.arange(1, n + 1, dtype=np.uint32)
+    i = np.arange(start + 1, start + n + 1, dtype=np.uint32)
     lsb = (i & 0xFF).astype(np.uint8)
     return np.stack(
         [
@@ -339,6 +342,39 @@ def test_counter_masks_match_byte_stack_oracle(n, key):
     got = counter_masks(n, key)
     assert got.shape == (n, 4) and got.dtype == np.uint8
     assert np.array_equal(got, _oracle_counter_masks(n, key))
+
+
+@pytest.mark.parametrize(
+    "start, n",
+    [(1, 1000), (255, 3), (65525, 5), (65525, 100), (7 << 16, MAP_CHUNK), ((3 << 16) - 7, MAP_CHUNK),
+     ((1 << 24) - 1 - MAP_CHUNK, MAP_CHUNK), ((1 << 24) - 2, 1)],
+    ids=["start-1", "start-255", "start-65525", "across-2^16", "at-2^16-multiple", "chunk-across-2^16",
+         "last-chunk", "last-block"],
+)
+def test_kernels_mask_any_window_like_the_byte_stack_oracle(start, n):
+    # kernel(blocks, start) masks with counters start+1 .. start+n; the last
+    # two windows end at counter 2^24 - 1, the highest an image reaches
+    rng = np.random.default_rng(start)
+    key = int(rng.integers(256))
+    blocks = rng.integers(0, 256, (n, 4), dtype=np.uint8)
+    blocks.flags.writeable = False  # as an image's view: the kernels must not write into it
+    masks = _oracle_counter_masks(n, key, start)
+    img = gen_constant(0, 4, 4)  # the kernels' checks only
+    assert np.array_equal(dwc_encrypt_kernel(img, key)(blocks, start), _oracle_ct_array(blocks ^ masks))
+    assert np.array_equal(_oracle_ct_array(dwc_decrypt_kernel(img, key)(blocks, start) ^ masks), blocks)
+
+
+@pytest.mark.parametrize("chunk", [1000, MAP_CHUNK - 1])
+def test_map_chunks_at_odd_chunk_sizes_matches_the_whole_array_oracle(chunk):
+    # 70,000 blocks: chunk starts fall off every 2^16 boundary, and one chunk crosses 65,536
+    rng = np.random.default_rng(chunk)
+    img = GrayImage(rng.integers(0, 256, (700, 400), dtype=np.uint8))
+    key = int(rng.integers(256))
+    enc = np.concatenate(list(map_chunks(img, dwc_encrypt_kernel(img, key), chunk)))
+    assert np.array_equal(enc, _oracle_dwc_encrypt(img, key))
+    enc_img = GrayImage(enc.reshape(700, 400))
+    dec = np.concatenate(list(map_chunks(enc_img, dwc_decrypt_kernel(enc_img, key), chunk)))
+    assert np.array_equal(dec, blocks_of(img))
 
 
 def test_counter_mask_rejects_counter_reaching_key_byte():

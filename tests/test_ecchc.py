@@ -180,3 +180,27 @@ def test_image_path_matches_whole_array_matmul_across_chunks(n):
     enc = ecchc_encrypt(img, key)
     assert np.array_equal(blocks_of(enc), expected)
     assert ecchc_encrypt(enc, key) == img
+
+
+def _every_difference(rng) -> np.ndarray:
+    """65,536 blocks, one per difference (d0, d1) = p_top - p_bot, with
+    random bottom halves."""
+    d = np.arange(1 << 16)
+    bottom = rng.integers(0, 256, (1 << 16, 2), dtype=np.uint8)
+    top = bottom + np.stack([d & 0xFF, d >> 8], axis=1).astype(np.uint8)
+    return np.concatenate([top, bottom], axis=1)
+
+
+@pytest.mark.parametrize(
+    "keys", [("00000000", "ffffffff"), ("01000001", "ffffffff"), "random"], ids=["zero-ones", "01000001-ones", "random"]
+)
+def test_streamed_kernel_matches_hill_apply_for_every_difference(keys):
+    # the kernel gathers K d from a table kept for the last key: the two keys
+    # alternate through it, so a table left from the other key fails
+    rng = np.random.default_rng(len(keys))
+    if keys == "random":
+        keys = tuple(f"{int(rng.integers(1 << 32)):08x}" for _ in range(2))
+    blocks = _every_difference(rng)
+    img = GrayImage(blocks.reshape(256, 1024))
+    for key in map(HillKey.from_hex, keys * 2):
+        assert np.array_equal(blocks_of(ecchc_encrypt(img, key)), hill_apply(blocks, key.k)), key.key_hex

@@ -1,5 +1,3 @@
-import contextlib
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -265,16 +263,6 @@ def test_open_pgm_matches_the_byte_at_a_time_oracle(tmp_path, data):
     assert _parse_outcome(lambda d: _read(path, d), data) == _parse_outcome(oracles.read_pgm, data)
 
 
-@contextlib.contextmanager
-def _int_digit_limit(limit):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def _p2_samples(*samples):
     return b"P2 %d 1 255\n" % len(samples) + b" ".join(samples) + b"\n"
 
@@ -296,18 +284,18 @@ def _p2_samples(*samples):
     ids=["4300", "4301", "plus-4300", "minus-4301-zeros", "underscored-4300", "underscored-4301",
          "8000-zeros", "4301-across-a-read", "4300-across-a-read", "longer-than-a-read"],
 )
-@pytest.mark.parametrize("limit", [4300, 0], ids=["limit-4300", "limit-off"])
+@pytest.mark.parametrize("limit", [4300, 640, 0], ids=["limit-4300", "limit-640", "limit-off"])
 def test_a_p2_sample_past_4300_digits_is_non_numeric_whatever_the_digit_limit(tmp_path, data, limit):
     # int() counts digits without the sign and underscores; the oracle
     # counts them in the samples it splits out
-    with _int_digit_limit(limit):
+    with oracles.int_digit_limit(limit):
         assert _parse_outcome(lambda d: _read(tmp_path / "in.pgm", d), data) == _parse_outcome(oracles.read_pgm, data)
 
 
 def test_long_p2_samples_are_refused_at_once_with_the_digit_limit_off(tmp_path):
     # int() took about 0.2 s over each of these with its limit off
     data = _p2_samples(*[b"9" * 131_000] * 20)
-    with _int_digit_limit(0):
+    with oracles.int_digit_limit(0):
         start = time.perf_counter()
         with pytest.raises(PgmError, match="^non-numeric sample$"):
             _read(tmp_path / "in.pgm", data)
